@@ -10,7 +10,6 @@ data generator whose cluster geometry follows the label tree.
 __version__ = "0.1.0"
 
 from .bank import (
-    BankEntry,
     FeatureBank,
     bank_build,
     bank_load,
@@ -41,14 +40,16 @@ from .errors import (
     TrainingError,
 )
 from .infer import (
+    BatchPrediction,
     HierPrediction,
+    classify_batch,
     flat_vote,
     predict_flat,
     predict_hierarchical,
     vote_margin,
     vote_mode,
 )
-from .knn import DEFAULT_K, NeighborSet, cosine_similarity, top_k, top_k_filtered
+from .knn import DEFAULT_K, NeighborSet, cosine_similarity, retrieve, top_k, top_k_filtered
 from .metrics import (
     ConfusionMatrix,
     F1_CONVENTION,

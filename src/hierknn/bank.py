@@ -20,15 +20,15 @@ Manifest format: one JSON object per line with fields ``id`` (string),
 """
 from __future__ import annotations
 
+import io
 import json
 import struct
-from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .errors import BankError, BankFormatError, ManifestError
-from .taxonomy import LabelPath, Taxonomy
+from .taxonomy import Taxonomy
 
 EPS_NORM = 1e-12
 UNIT_TOL = 1e-6
@@ -54,15 +54,6 @@ def l2_normalize(v) -> np.ndarray:
     if norm <= EPS_NORM:
         raise BankError("zero-norm vector")
     return (arr / norm).astype(np.float32)
-
-
-@dataclass(frozen=True)
-class BankEntry:
-    """One stored embedding: stable id, full label path, unit-norm vector."""
-
-    id: str
-    labels: LabelPath
-    vector: np.ndarray
 
 
 class FeatureBank:
@@ -121,13 +112,6 @@ class FeatureBank:
         if self._vectors64 is None:
             self._vectors64 = self.vectors.astype(np.float64)
         return self._vectors64
-
-    def entry(self, i: int) -> BankEntry:
-        l1, l2, l3 = (int(x) for x in self.labels[i])
-        return BankEntry(self.ids[i], LabelPath(l1, l2, l3), self.vectors[i])
-
-    def __iter__(self) -> Iterator[BankEntry]:
-        return (self.entry(i) for i in range(len(self)))
 
     def leaf_histogram(self) -> dict[int, int]:
         """Entry count per leaf index, leaves with entries only."""
@@ -242,11 +226,24 @@ def _read_exact(source: BinaryIO, n: int) -> bytes:
     return data
 
 
+def _bytes_left(source: BinaryIO) -> int | None:
+    """Bytes between the stream position and its end; None if it cannot seek."""
+    try:
+        pos = source.tell()
+        end = source.seek(0, io.SEEK_END)
+        source.seek(pos)
+    except (AttributeError, OSError, ValueError):
+        return None
+    return end - pos
+
+
 def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
     """Deserialize a bank, checking magic, version, and taxonomy digest.
 
-    Label indices are range-checked against ``tax``; parent consistency of
-    stored triples is not re-derived, matching what was written.
+    Label indices are range-checked against ``tax`` and vectors must be
+    finite; parent consistency of stored triples is not re-derived,
+    matching what was written. On a seekable stream the header's count and
+    dim are checked against the bytes left before anything is allocated.
     """
     magic, version, dim, count, digest = _HEADER.unpack(_read_exact(source, _HEADER.size))
     if magic != _MAGIC:
@@ -255,6 +252,13 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
         raise BankFormatError(f"unsupported version {version}")
     if digest != tax.digest:
         raise BankFormatError("taxonomy mismatch (digest differs)")
+    left = _bytes_left(source)
+    need = count * (_U16.size + _LABELS.size + 4 * dim)
+    if left is not None and need > left:
+        raise BankFormatError(
+            f"header claims {count} entries of dim {dim}: at least {need} bytes, "
+            f"but {left} remain"
+        )
 
     ids: list[str] = []
     labels = np.zeros((count, 3), dtype=np.uint16)
@@ -274,6 +278,9 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
         vectors[i] = np.frombuffer(_read_exact(source, vec_bytes), dtype="<f4")
     if source.read(1):
         raise BankFormatError("trailing bytes after final entry")
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise BankFormatError(f"entry {ids[int(np.argmin(finite))]!r}: non-finite vector")
     try:
         return FeatureBank(dim, ids, labels, vectors, digest)
     except BankError as exc:

@@ -27,9 +27,9 @@ from .bank import (
     read_manifest,
     write_manifest,
 )
-from .ensemble import TIE_POLICIES, EnsembleConfig, ablation_grid, run_ensemble
+from .ensemble import TIE_POLICIES, EnsembleConfig, ablation_grid, combine_members, member_outputs
 from .errors import HierknnError, InferenceError, ManifestError
-from .infer import predict_flat, predict_hierarchical
+from .infer import classify_batch
 from .knn import DEFAULT_K
 from .metrics import score_predictions
 from .synth import (
@@ -107,9 +107,13 @@ def _write_records(records, path) -> None:
         write_manifest(records, fh)
 
 
-def _query_vectors(records: list[dict], dim: int) -> list[np.ndarray]:
-    """Extract and dim-check query vectors; errors name the offending record."""
-    vectors = []
+def _query_vectors(records: list[dict], dim: int) -> np.ndarray:
+    """Check the query vectors and stack them into one (m, dim) float64 array.
+
+    Errors name the offending record: a missing field, a wrong dim, a
+    non-finite value, or an all-zero vector.
+    """
+    vectors = np.empty((len(records), dim))
     for i, rec in enumerate(records):
         if "id" not in rec or "vector" not in rec:
             raise ManifestError(f"query record {i + 1} needs 'id' and 'vector' fields")
@@ -120,7 +124,11 @@ def _query_vectors(records: list[dict], dim: int) -> list[np.ndarray]:
             raise InferenceError(
                 f"dim mismatch: query {rec['id']!r} has dim {v.shape[0]}, bank has dim {dim}"
             )
-        vectors.append(v)
+        if not np.isfinite(v).all():
+            raise InferenceError(f"query {rec['id']!r}: non-finite vector")
+        if not v.any():
+            raise InferenceError(f"query {rec['id']!r}: zero-norm vector")
+        vectors[i] = v
     return vectors
 
 
@@ -189,25 +197,24 @@ def cmd_classify(args) -> int:
     records = _load_records(args.queries)
     vectors = _query_vectors(records, bank.dim)
 
-    out_records = []
-    for rec, vec in zip(records, vectors):
-        if args.flat:
-            leaf = predict_flat(bank, vec, args.k)
-            path = tax.path_of(leaf)
-            fallback = (False, False, False)
-        else:
-            pred = predict_hierarchical(bank, vec, args.k, tax)
-            path = pred.label_path()
-            fallback = pred.fallback_used
-        out_records.append(
-            {
-                "id": rec["id"],
-                "y1": tax.name_of(1, path.l1),
-                "y2": tax.name_of(2, path.l2),
-                "y3": tax.name_of(3, path.l3),
-                "fallback": list(fallback),
-            }
-        )
+    if args.flat:
+        res = classify_batch(bank, vectors, args.k)
+        paths = [tax.path_of(leaf).as_tuple() for leaf in res.flat_leaf.tolist()]
+        fallback = [[False, False, False]] * len(records)
+    else:
+        res = classify_batch(bank, vectors, args.k, tax)
+        paths = zip(res.y1.tolist(), res.y2.tolist(), res.y3.tolist())
+        fallback = res.fallback.tolist()
+    out_records = [
+        {
+            "id": rec["id"],
+            "y1": tax.name_of(1, y1),
+            "y2": tax.name_of(2, y2),
+            "y3": tax.name_of(3, y3),
+            "fallback": fb,
+        }
+        for rec, (y1, y2, y3), fb in zip(records, paths, fallback)
+    ]
     _write_records(out_records, args.out)
     _write_run_manifest(args.out, args, [args.bank, args.queries] + tax_inputs)
     print(f"wrote {args.out}: {len(out_records)} predictions")
@@ -220,10 +227,13 @@ def cmd_ensemble(args) -> int:
     banks = tuple(_load_bank(p, tax) for p in bank_paths)
     cfg = EnsembleConfig(banks, k=args.k, tie_policy=args.tie_policy)
     records = _load_records(args.queries)
-    _query_vectors(records, banks[0].dim)
+    vectors = _query_vectors(records, banks[0].dim)
 
-    preds = run_ensemble(cfg, records, tax, flat=args.flat)
-    out_records = [{"id": qid, "label": tax.name_of(3, leaf)} for qid, leaf in preds]
+    members = [member_outputs(b, vectors, cfg.k, tax, flat=args.flat) for b in banks]
+    leaves = combine_members(members, cfg.tie_policy)
+    out_records = [
+        {"id": rec["id"], "label": tax.name_of(3, leaf)} for rec, leaf in zip(records, leaves)
+    ]
     _write_records(out_records, args.out)
     _write_run_manifest(args.out, args, bank_paths + [args.queries] + tax_inputs)
     print(f"wrote {args.out}: {len(out_records)} predictions from {len(banks)} members")
@@ -271,11 +281,10 @@ def cmd_ablate(args, parser: _Parser) -> int:
         bank_paths = args.banks.split(",")
         banks = [_load_bank(p, tax) for p in bank_paths]
         query_records = _load_records(args.queries)
-        _query_vectors(query_records, banks[0].dim)
         inputs = bank_paths + [args.queries] + tax_inputs
 
     truth = _truth_indices(query_records, tax)
-    vectors = [np.asarray(rec["vector"], dtype=np.float64) for rec in query_records]
+    vectors = _query_vectors(query_records, banks[0].dim)
     rows = ablation_grid(banks, vectors, truth, args.k, tax, policy=args.tie_policy)
 
     lines = ["members,without_hierarchy_mf1,with_hierarchy_mf1"]

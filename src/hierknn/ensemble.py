@@ -13,7 +13,7 @@ import numpy as np
 
 from .bank import FeatureBank
 from .errors import InferenceError
-from .infer import flat_vote, predict_hierarchical, vote_margin
+from .infer import BatchPrediction, classify_batch
 from .knn import DEFAULT_K
 from .metrics import ConfusionMatrix, macro_f1
 from .taxonomy import Taxonomy
@@ -85,21 +85,20 @@ class MemberOutputs:
     margins: tuple[float, ...]
 
 
+def _outputs(res: BatchPrediction, k: int, flat: bool) -> MemberOutputs:
+    """Leaves and leaf-vote margins (see ``vote_margin``) of one member's batch."""
+    leaves, counts = (res.flat_leaf, res.flat_counts) if flat else (res.y3, res.counts[2])
+    ranked = np.sort(counts, axis=1)
+    runner_up = ranked[:, -2] if ranked.shape[1] > 1 else 0
+    margins = (ranked[:, -1] - runner_up) / k
+    return MemberOutputs(tuple(leaves.tolist()), tuple(margins.tolist()))
+
+
 def member_outputs(
     bank: FeatureBank, queries, k: int, tax: Taxonomy, flat: bool = False
 ) -> MemberOutputs:
     """Run one member over query vectors; margin is the member's own leaf-vote margin."""
-    leaves: list[int] = []
-    margins: list[float] = []
-    for q in queries:
-        if flat:
-            leaf, tally = flat_vote(bank, q, k)
-        else:
-            pred = predict_hierarchical(bank, q, k, tax)
-            leaf, tally = pred.y3, pred.tallies[2]
-        leaves.append(leaf)
-        margins.append(vote_margin(tally, k))
-    return MemberOutputs(tuple(leaves), tuple(margins))
+    return _outputs(classify_batch(bank, queries, k, None if flat else tax), k, flat)
 
 
 def combine_members(members: list[MemberOutputs], policy: str = "similarity-margin") -> list[int]:
@@ -126,7 +125,7 @@ def run_ensemble(cfg: EnsembleConfig, queries, tax: Taxonomy, flat: bool = False
     already unit-norm). Returns (id, leaf index) per query in input order.
     """
     records = list(queries)
-    vectors = [np.asarray(rec["vector"], dtype=np.float32) for rec in records]
+    vectors = np.asarray([rec["vector"] for rec in records], dtype=np.float64)
     members = [
         member_outputs(bank, vectors, cfg.k, tax, flat=flat) for bank in cfg.member_banks
     ]
@@ -151,13 +150,17 @@ def ablation_grid(
 ) -> list[AblationRow]:
     """Macro F1 for every ensemble size 1..len(banks), flat and hierarchical.
 
-    Member outputs are computed once per bank and reused across sizes, so
-    the grid costs the same as scoring each member once.
+    Each bank classifies the queries once, giving both its flat and its
+    hierarchical outputs, which are reused across sizes; so the grid costs
+    the same as scoring each member once.
     """
     truth = [int(t) for t in truth_leaves]
-    vectors = list(query_vectors)
-    flat_members = [member_outputs(b, vectors, k, tax, flat=True) for b in banks]
-    hier_members = [member_outputs(b, vectors, k, tax, flat=False) for b in banks]
+    vectors = np.asarray(list(query_vectors), dtype=np.float64)
+    flat_members, hier_members = [], []
+    for bank in banks:
+        res = classify_batch(bank, vectors, k, tax)
+        flat_members.append(_outputs(res, k, flat=True))
+        hier_members.append(_outputs(res, k, flat=False))
     rows = []
     for m in range(1, len(banks) + 1):
         flat_preds = combine_members(flat_members[:m], policy)

@@ -7,14 +7,21 @@ constrained subset of the neighborhood is empty (possible only when bank
 entries carry parent-inconsistent label triples), the vote falls back to a
 bank-wide retrieval restricted to the valid children, and the prediction
 records that the fallback fired.
+
+:func:`classify_batch` is the one entry point: it retrieves each query's
+neighbors once and computes the hierarchical and the flat vote from them.
+The per-query functions are one-row wrappers around it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .bank import FeatureBank
 from .errors import InferenceError
-from .knn import NeighborSet, top_k, top_k_filtered
+from .knn import retrieve
 from .taxonomy import LabelPath, Taxonomy
 
 
@@ -32,81 +39,140 @@ class HierPrediction:
         return LabelPath(self.y1, self.y2, self.y3)
 
 
+class BatchPrediction(NamedTuple):
+    """Columns of :func:`classify_batch` for m queries.
+
+    ``counts[level - 1]`` (m x C_level) is the tally behind ``y<level>``,
+    over the fallback's neighbors where ``fallback[:, level - 1]`` is set.
+    Without a taxonomy only the flat columns are set.
+    """
+
+    flat_leaf: np.ndarray
+    flat_counts: np.ndarray
+    y1: np.ndarray | None = None
+    y2: np.ndarray | None = None
+    y3: np.ndarray | None = None
+    fallback: np.ndarray | None = None
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def _vote(labels: np.ndarray, sims: np.ndarray, n_classes: int):
+    """Winner and (m, n_classes) counts per row of (m, k) labels; label -1 casts no vote.
+
+    The key is count, then summed similarity, then the lower class index.
+    ``bincount`` sums each class's similarities in neighbor order, as a
+    running sum would, so near ties resolve exactly as a per-query loop does.
+    """
+    m = len(labels)
+    size = m * n_classes
+    voting = labels >= 0
+    bins = (labels + np.arange(0, size, n_classes)[:, None])[voting]
+    counts = np.bincount(bins, minlength=size).reshape(m, n_classes)
+    simsum = np.bincount(bins, weights=sims[voting], minlength=size).reshape(m, n_classes)
+    top = counts == counts.max(axis=1, keepdims=True)
+    return np.where(top, simsum, -np.inf).argmax(axis=1), counts
+
+
+def _nonzero(counts: np.ndarray) -> dict[int, int]:
+    return {int(c): int(counts[c]) for c in np.flatnonzero(counts)}
+
+
 def vote_mode(labels, sims) -> int:
     """Most frequent label; ties go to the larger summed similarity, then the lower index."""
-    counts: dict[int, int] = {}
-    simsum: dict[int, float] = {}
-    for label, sim in zip(labels, sims):
-        label = int(label)
-        counts[label] = counts.get(label, 0) + 1
-        simsum[label] = simsum.get(label, 0.0) + float(sim)
-    if not counts:
+    labels = np.asarray(labels, dtype=np.int64).reshape(1, -1)
+    if labels.size == 0:
         raise ValueError("empty label list")
-    return min(counts, key=lambda c: (-counts[c], -simsum[c], c))
+    if labels.min() < 0:
+        raise ValueError("labels must be >= 0")
+    sims = np.asarray(sims, dtype=np.float64).reshape(1, -1)
+    return int(_vote(labels, sims, int(labels.max()) + 1)[0][0])
 
 
-def _tally(labels, sims) -> tuple[int, dict[int, int]]:
-    winner = vote_mode(labels, sims)
-    counts: dict[int, int] = {}
-    for label in labels:
-        label = int(label)
-        counts[label] = counts.get(label, 0) + 1
-    return winner, counts
+def _join(parts):
+    """Concatenate per-block columns, recursing into tuples; None stays None."""
+    if isinstance(parts[0], tuple):
+        return tuple(_join(column) for column in zip(*parts))
+    return None if parts[0] is None else np.concatenate(parts)
 
 
-def _check_digest(bank: FeatureBank, tax: Taxonomy) -> None:
-    if bank.taxonomy_digest != tax.digest:
+_BLOCK = 64  # queries voted together, bounding the (block, k) temporaries
+
+
+def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy | None = None) -> BatchPrediction:
+    """Classify the rows of ``Q`` (m x dim), retrieving each query's neighbors once.
+
+    The flat leaf vote and, given ``tax``, the coarse-to-fine walk of the
+    module docstring count the same k neighbors. Without ``tax`` the flat
+    tally spans the bank's leaf indices.
+    """
+    if tax is not None and bank.taxonomy_digest != tax.digest:
         raise InferenceError("bank was built against a different taxonomy (digest mismatch)")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    Q = np.asarray(Q, dtype=np.float64)
+    if Q.shape == (0,):
+        Q = Q.reshape(0, bank.dim)
+    if Q.ndim != 2:
+        raise ValueError(f"query block must be 2-D (m x dim), got shape {Q.shape}")
+    usable = np.isfinite(Q).all(axis=1) & Q.any(axis=1)
+    if not usable.all():
+        raise InferenceError(f"query {int(np.argmin(usable))}: vector is non-finite or all zero")
+    if len(Q) > _BLOCK:
+        parts = [classify_batch(bank, Q[i:i + _BLOCK], k, tax) for i in range(0, len(Q), _BLOCK)]
+        return BatchPrediction(*_join(parts))
+
+    indices = np.empty((len(Q), min(k, len(bank))), dtype=np.intp)
+    sims = np.empty(indices.shape)
+    for i, q in enumerate(Q):
+        indices[i], sims[i] = retrieve(bank, q, k)
+    labels = bank.labels[indices].astype(np.int64)
+    n_leaves = tax.leaf_count if tax is not None else int(bank.labels[:, 2].max(initial=0)) + 1
+    flat = _vote(labels[:, :, 2], sims, n_leaves)
+    if tax is None:
+        return BatchPrediction(*flat)
+    if (labels.max(axis=(0, 1), initial=0) >= [tax.node_count(lv) for lv in (1, 2, 3)]).any():
+        raise InferenceError("bank label index out of range for the taxonomy")
+
+    y, c = _vote(labels[:, :, 0], sims, tax.node_count(1))
+    ys, counts, fallback = [y], [c], np.zeros((len(Q), 3), dtype=bool)
+    for level in (2, 3):
+        parent = np.asarray(tax.parents(level))
+        col = labels[:, :, level - 1]
+        under = parent[col] == ys[-1][:, None]
+        y, c = _vote(np.where(under, col, -1), sims, len(parent))
+        for i in np.flatnonzero(~under.any(axis=1)):  # re-query the children's entries
+            rows = np.flatnonzero(parent[bank.labels[:, level - 1]] == ys[-1][i])
+            if rows.size == 0:
+                raise InferenceError(
+                    f"no bank entry under predicted level-{level - 1} node "
+                    f"{tax.name_of(level - 1, int(ys[-1][i]))!r}"
+                )
+            fb_indices, fb_sims = retrieve(bank, Q[i], k, rows)
+            fb_labels = bank.labels[fb_indices, level - 1].astype(np.int64)
+            winner, tally = _vote(fb_labels[None], fb_sims[None], len(parent))
+            y[i], c[i] = winner[0], tally[0]
+            fallback[i, level - 1] = True
+        ys.append(y)
+        counts.append(c)
+    return BatchPrediction(*flat, *ys, fallback, tuple(counts))
 
 
 def predict_hierarchical(
     bank: FeatureBank, q, k: int, tax: Taxonomy
 ) -> HierPrediction:
-    """Classify ``q`` coarse-to-fine; see the module docstring for the procedure."""
-    _check_digest(bank, tax)
-    neighbors = top_k(bank, q, k)
-    n_labels = bank.labels[list(neighbors.entry_indices)]
-
-    y1, tally1 = _tally(n_labels[:, 0], neighbors.similarities)
-    tallies = [tally1]
-    fallback = [False, False, False]
-    parent = y1
-    path = [y1]
-    for level in (2, 3):
-        allowed = set(tax.children(level, parent))
-        in_set = [
-            (int(lab), sim)
-            for lab, sim in zip(n_labels[:, level - 1], neighbors.similarities)
-            if int(lab) in allowed
-        ]
-        if in_set:
-            winner, tally = _tally([l for l, _ in in_set], [s for _, s in in_set])
-        else:
-            fb: NeighborSet = top_k_filtered(bank, q, k, level, allowed)
-            if len(fb) == 0:
-                raise InferenceError(
-                    f"no bank entry under predicted level-{level - 1} node "
-                    f"{tax.name_of(level - 1, parent)!r}"
-                )
-            fallback[level - 1] = True
-            fb_labels = bank.labels[list(fb.entry_indices), level - 1]
-            winner, tally = _tally(fb_labels, fb.similarities)
-        tallies.append(tally)
-        path.append(winner)
-        parent = winner
-
+    """Classify ``q`` coarse-to-fine; a one-row :func:`classify_batch`."""
+    res = classify_batch(bank, np.asarray(q)[None], k, tax)
     return HierPrediction(
-        path[0], path[1], path[2],
-        (tallies[0], tallies[1], tallies[2]),
-        (fallback[0], fallback[1], fallback[2]),
+        int(res.y1[0]), int(res.y2[0]), int(res.y3[0]),
+        tuple(_nonzero(c[0]) for c in res.counts),
+        tuple(res.fallback[0].tolist()),
     )
 
 
 def flat_vote(bank: FeatureBank, q, k: int) -> tuple[int, dict[int, int]]:
     """Leaf-level vote over the raw neighborhood; returns (leaf, tally)."""
-    neighbors = top_k(bank, q, k)
-    leaf_labels = bank.labels[list(neighbors.entry_indices), 2]
-    return _tally(leaf_labels, neighbors.similarities)
+    res = classify_batch(bank, np.asarray(q)[None], k)
+    return int(res.flat_leaf[0]), _nonzero(res.flat_counts[0])
 
 
 def predict_flat(bank: FeatureBank, q, k: int) -> int:

@@ -23,13 +23,16 @@ class ConfusionMatrix:
 
     @classmethod
     def from_pairs(cls, truth, preds, n_classes: int) -> "ConfusionMatrix":
-        truth = list(truth)
-        preds = list(preds)
+        truth = np.asarray(list(truth), dtype=np.int64)
+        preds = np.asarray(list(preds), dtype=np.int64)
         if len(truth) != len(preds):
             raise ValueError(f"length mismatch ({len(truth)} truths, {len(preds)} preds)")
         cm = cls(n_classes)
-        for t, p in zip(truth, preds):
-            cm.add(int(t), int(p))
+        bad = (np.minimum(truth, preds) < 0) | (np.maximum(truth, preds) >= n_classes)
+        if bad.any():
+            i = int(np.argmax(bad))
+            cm.add(int(truth[i]), int(preds[i]))  # raises, naming the pair
+        np.add.at(cm.counts, (truth, preds), 1)
         return cm
 
     def add(self, true_class: int, pred_class: int) -> None:

@@ -123,10 +123,15 @@ class Taxonomy:
 
     def parent_of(self, level: int, index: int) -> int:
         """Parent index at ``level - 1`` of the given node; levels 2 and 3 only."""
+        parents = self.parents(level)
+        self._check_index(level, index)
+        return parents[index]
+
+    def parents(self, level: int) -> tuple[int, ...]:
+        """Parent index at ``level - 1`` of every level-``level`` node, in node order."""
         if level not in (2, 3):
             raise TaxonomyError(f"nodes at level {level} have no parent")
-        self._check_index(level, index)
-        return (self._parent2, self._parent3)[level - 2][index]
+        return (self._parent2, self._parent3)[level - 2]
 
     def children(self, level: int, parent: int) -> tuple[int, ...]:
         """Level-``level`` nodes whose parent at ``level - 1`` is ``parent``."""

@@ -221,6 +221,77 @@ class TestSerialization:
             bank_load(buf, tax)
 
 
+class TestLoadRejectsBadInput:
+    @staticmethod
+    def saved(tax, ids=("a", "bb", "ccc"), dim=4):
+        rng = np.random.default_rng(5)
+        bank = bank_from_arrays(tax, unit_rows(rng, len(ids), dim),
+                                list(range(len(ids))), ids=list(ids))
+        buf = io.BytesIO()
+        bank_save(bank, buf)
+        return bank, buf.getvalue()
+
+    @staticmethod
+    def field_boundaries(bank) -> list[int]:
+        """Byte offset of every field boundary in a saved v1 bank."""
+        offsets, pos = [], 0
+        for size in (4, 4, 4, 8, 32):  # magic, version, dim, count, digest
+            pos += size
+            offsets.append(pos)
+        for rid in bank.ids:
+            for size in (2, len(rid.encode("utf-8")), 6, 4 * bank.dim):
+                pos += size
+                offsets.append(pos)
+        return offsets
+
+    def test_truncation_at_every_field_boundary(self, tax):
+        bank, data = self.saved(tax)
+        boundaries = self.field_boundaries(bank)
+        assert boundaries[-1] == len(data)
+        for cut in [0] + boundaries[:-1]:
+            with pytest.raises(BankFormatError):
+                bank_load(io.BytesIO(data[:cut]), tax)
+
+    def test_oversized_count_named_before_allocation(self, tax):
+        _, data = self.saved(tax)
+        header = bytearray(data)
+        header[12:20] = (2**40).to_bytes(8, "little")
+        with pytest.raises(BankFormatError, match=str(2**40)):
+            bank_load(io.BytesIO(bytes(header)), tax)
+
+    def test_oversized_dim_rejected(self, tax):
+        _, data = self.saved(tax)
+        header = bytearray(data)
+        header[8:12] = (2**31).to_bytes(4, "little")
+        with pytest.raises(BankFormatError, match="entries of dim 2147483648"):
+            bank_load(io.BytesIO(bytes(header)), tax)
+
+    def test_nan_vector_named(self, tax):
+        bank, _ = self.saved(tax)
+        bank.vectors[1, 2] = np.nan
+        buf = io.BytesIO()
+        bank_save(bank, buf)
+        with pytest.raises(BankFormatError, match="'bb': non-finite"):
+            bank_load(io.BytesIO(buf.getvalue()), tax)
+
+    def test_unseekable_stream_still_loads(self, tax):
+        class Unseekable(io.RawIOBase):
+            def __init__(self, data):
+                self.inner = io.BytesIO(data)
+
+            def readable(self):
+                return True
+
+            def readinto(self, b):
+                chunk = self.inner.read(len(b))
+                b[: len(chunk)] = chunk
+                return len(chunk)
+
+        bank, data = self.saved(tax)
+        loaded = bank_load(Unseekable(data), tax)
+        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
+
+
 class TestMerge:
     def test_two_plus_three(self, tax):
         a = bank_build(records_for(tax, ["BL", "LY"], seed=1), tax)

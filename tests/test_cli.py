@@ -230,3 +230,112 @@ class TestRunManifests:
         digest = hashlib.sha256((tmp_path / "bank.hbnk").read_bytes()).hexdigest()
         assert doc["inputs"]["bank.hbnk"] == digest
         assert "timestamp" not in json.dumps(doc)
+
+
+class TestBadInputs:
+    """Invalid data exits 2 naming the record, with no traceback and no output."""
+
+    @staticmethod
+    def assert_data_error(proc, needle, out):
+        assert proc.returncode == 2, proc.stderr
+        assert needle in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("vector, qid", [
+        ([float("nan")] * 8, "all-nan"),
+        ([0.0] * 8, "all-zero"),
+        ([1.0] * 7 + [float("inf")], "has-inf"),
+    ])
+    def test_unusable_query_vectors(self, tmp_path, vector, qid):
+        make_synth(tmp_path)
+        good = (tmp_path / "q.jsonl").read_text().splitlines()[0]
+        bad = json.dumps({"id": qid, "label": "BL", "vector": vector})
+        (tmp_path / "bad.jsonl").write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        for args, out in (
+            (["classify", "--bank", "bank.hbnk"], "p.jsonl"),
+            (["classify", "--bank", "bank.hbnk", "--flat"], "pf.jsonl"),
+            (["ensemble", "--banks", "bank.hbnk,bank.hbnk"], "e.jsonl"),
+            (["ablate", "--banks", "bank.hbnk"], "g.csv"),
+        ):
+            proc = run([*args, "--queries", "bad.jsonl", "--out", out], tmp_path)
+            self.assert_data_error(proc, repr(qid), tmp_path / out)
+
+    def test_oversized_bank_header(self, tmp_path):
+        make_synth(tmp_path)
+        data = bytearray((tmp_path / "bank.hbnk").read_bytes())
+        data[12:20] = (2**40).to_bytes(8, "little")
+        (tmp_path / "huge.hbnk").write_bytes(bytes(data))
+        info = run(["bank", "info", "huge.hbnk"], tmp_path)
+        assert info.returncode == 2 and str(2**40) in info.stderr, info.stderr
+        assert "Traceback" not in info.stderr
+        proc = run(["classify", "--bank", "huge.hbnk", "--queries", "q.jsonl",
+                    "--out", "p.jsonl"], tmp_path)
+        self.assert_data_error(proc, str(2**40), tmp_path / "p.jsonl")
+
+
+class TestPinnedOutputs:
+    """The determinism fixture's outputs, byte for byte.
+
+    The digests were recorded from the release before classify, ensemble
+    and ablate shared one batched inference path; any change to retrieval
+    order, vote tie-breaking or output formatting shows up here.
+    """
+
+    PINNED = {
+        "preds.jsonl": "4d11a493162feafc91832be980867e9ad099c00cec394298c6516ef75cfef329",
+        "flat.jsonl": "530d6c311e1dd344f81343fb710e66050905870b1107cdde17a1c5cb50e65086",
+        "ens.jsonl": "c441dc6ed092bf620a6e9fbbf6145d333e2ae6895c07e82ee17f458c13191e2a",
+        "grid.csv": "8b429a0d61b64bb243ebaed39160dca3658a64861a6374c023f4a013c36de7b4",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        make_synth(tmp_path)
+        make_synth(tmp_path, bank="bank2.hbnk", queries="q2.jsonl", seed_line="seed = 6")
+        (tmp_path / "synth.cfg").write_text(SMALL_CONFIG, encoding="utf-8")
+        for args in (
+            ["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl",
+             "--out", "preds.jsonl", "--k", "5"],
+            ["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl",
+             "--out", "flat.jsonl", "--k", "5", "--flat"],
+            ["ensemble", "--banks", "bank.hbnk,bank2.hbnk", "--queries", "q.jsonl",
+             "--out", "ens.jsonl", "--k", "5"],
+            ["ablate", "--banks", "3", "--config", "synth.cfg", "--k", "5",
+             "--rot", "0.3", "--noise", "0.1", "--out", "grid.csv"],
+        ):
+            proc = run(args, tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PINNED}
+        assert digests == self.PINNED
+
+
+class TestEntryPoint:
+    def test_commands_reach_classify_batch(self, tmp_path, monkeypatch):
+        """classify, classify --flat, ensemble and ablate all run classify_batch."""
+        import hierknn.cli
+        import hierknn.ensemble
+        import hierknn.infer
+
+        calls = []
+        real = hierknn.infer.classify_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hierknn.cli, "classify_batch", counting)
+        monkeypatch.setattr(hierknn.ensemble, "classify_batch", counting)
+        make_synth(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for argv, batches in (
+            (["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl", "--out", "p"], 1),
+            (["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl", "--out", "f",
+              "--flat"], 1),
+            (["ensemble", "--banks", "bank.hbnk,bank.hbnk", "--queries", "q.jsonl",
+              "--out", "e"], 2),
+            (["ablate", "--banks", "3", "--config", "synth.cfg", "--out", "g"], 3),
+        ):
+            calls.clear()
+            assert hierknn.cli.main(argv) == 0
+            assert len(calls) == batches, argv

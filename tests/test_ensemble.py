@@ -9,16 +9,19 @@ from hierknn import (
     FeatureBank,
     InferenceError,
     ablation_grid,
+    classify_batch,
     combine_members,
     ensemble_vote,
+    flat_vote,
     load_taxonomy,
     member_outputs,
     predict_flat,
     predict_hierarchical,
     run_ensemble,
+    vote_margin,
 )
 from hierknn.ensemble import MemberOutputs
-from conftest import bank_from_arrays, unit_rows
+from conftest import bank_from_arrays, crossed_label_bank, unit_rows
 
 
 def random_outputs(rng, n_members: int, n_queries: int) -> list[MemberOutputs]:
@@ -210,3 +213,48 @@ class TestAblationGrid:
         rows = ablation_grid([bank], [v.astype(np.float64) for v in vecs], truth, 1, tax)
         assert rows[0].without_hierarchy_mf1 == 1.0
         assert rows[0].with_hierarchy_mf1 == 1.0
+
+
+class TestSharedInference:
+    def test_one_member_ensemble_equals_classify_on_float64_near_tie(self, tax):
+        """A query that ties two entries only after rounding to float32 is
+        still decided in float64, exactly as classify decides it."""
+        bl, ly = tax.index_of(3, "BL"), tax.index_of(3, "LY")
+        bank = bank_from_arrays(tax, np.eye(2, dtype=np.float32), [bl, ly])
+        q = np.array([0.5, 0.5 + 1e-12])
+        q /= np.linalg.norm(q)
+        assert q.astype(np.float32)[0] == q.astype(np.float32)[1]
+        assert predict_hierarchical(bank, q, 1, tax).y3 == ly
+        assert predict_flat(bank, q, 1) == ly
+        recs = [{"id": "near-tie", "vector": q.tolist()}]
+        for flat in (False, True):
+            got = run_ensemble(EnsembleConfig((bank,), k=1), recs, tax, flat=flat)
+            assert got == [("near-tie", ly)]
+
+    def test_margins_match_vote_margin(self, tax):
+        rng = np.random.default_rng(14)
+        bank = bank_from_arrays(tax, unit_rows(rng, 70, 6), list(rng.integers(0, 13, 70)))
+        queries = [unit_rows(rng, 1, 6)[0] for _ in range(20)]
+        hier = member_outputs(bank, queries, 9, tax)
+        flat = member_outputs(bank, queries, 9, tax, flat=True)
+        for q, hm, fm in zip(queries, hier.margins, flat.margins):
+            assert hm == vote_margin(predict_hierarchical(bank, q, 9, tax).tallies[2], 9)
+            assert fm == vote_margin(flat_vote(bank, q, 9)[1], 9)
+
+    def test_ablation_retrieves_each_pair_once(self, tax, monkeypatch):
+        """One retrieval per (bank, query), plus one per fallback re-query."""
+        import hierknn.infer
+
+        calls = []
+        real = hierknn.infer.retrieve
+        monkeypatch.setattr(hierknn.infer, "retrieve",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        rng = np.random.default_rng(15)
+        banks = [crossed_label_bank(tax, rng, n_near=6) for _ in range(2)]
+        banks.append(bank_from_arrays(tax, unit_rows(rng, 50, 6), list(rng.integers(0, 13, 50))))
+        queries = unit_rows(rng, 25, 6).astype(np.float64)
+        fallbacks = sum(int(classify_batch(b, queries, 4, tax).fallback.sum()) for b in banks)
+        assert fallbacks > 0
+        calls.clear()
+        ablation_grid(banks, queries, list(rng.integers(0, 13, 25)), 4, tax)
+        assert len(calls) == len(banks) * len(queries) + fallbacks

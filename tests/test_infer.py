@@ -1,6 +1,8 @@
 """Coarse-to-fine voting, its fallback path, and the flat baseline."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hierknn import (
     FeatureBank,
     InferenceError,
     bank_build,
+    classify_batch,
     flat_vote,
     load_taxonomy,
     predict_flat,
@@ -185,3 +188,130 @@ class TestFlat:
         leaf, tally = flat_vote(bank, unit_rows(rng, 1, 5)[0], 7)
         assert sum(tally.values()) == 7
         assert tally[leaf] == max(tally.values())
+
+
+def reference_walk(bank, q, k, tax):
+    """Plain-Python coarse-to-fine walk, written from the documented rules.
+
+    Similarities are exact fsum dot products; ranking is a full sort by
+    (-similarity, index); a vote is won by count, then summed similarity
+    (added in neighbor order), then the lower class index. A level whose
+    neighbors hold no child of the parent re-queries the children's entries.
+    """
+    n = len(bank)
+    labels = [tuple(int(x) for x in row) for row in bank.labels]
+    sims = [math.fsum(float(a) * float(b) for a, b in zip(bank.vectors[i], q)) for i in range(n)]
+
+    def nearest(rows):
+        return sorted(rows, key=lambda i: (-sims[i], i))[:k]
+
+    def vote(pairs):
+        count, total = {}, {}
+        for label, sim in pairs:
+            count[label] = count.get(label, 0) + 1
+            total[label] = total.get(label, 0.0) + sim
+        return min(count, key=lambda c: (-count[c], -total[c], c)), count
+
+    neighbors = nearest(range(n))
+    flat = vote([(labels[i][2], sims[i]) for i in neighbors])
+    y1, tally1 = vote([(labels[i][0], sims[i]) for i in neighbors])
+    path, tallies, fallback = [y1], [tally1], [False, False, False]
+    for level in (2, 3):
+        kids = set(tax.children(level, path[-1]))
+        pairs = [(labels[i][level - 1], sims[i]) for i in neighbors
+                 if labels[i][level - 1] in kids]
+        if not pairs:
+            rows = [i for i in range(n) if labels[i][level - 1] in kids]
+            pairs = [(labels[i][level - 1], sims[i]) for i in nearest(rows)]
+            fallback[level - 1] = True
+        winner, tally = vote(pairs)
+        path.append(winner)
+        tallies.append(tally)
+    return path, tallies, fallback, flat
+
+
+def rounded(vectors: np.ndarray) -> np.ndarray:
+    """Entries rounded to multiples of 1/8: every dot product is exact, and
+    equal similarities (ties in ranking and in summed votes) are common."""
+    return (np.round(vectors.astype(np.float64) * 8) / 8).astype(np.float32)
+
+
+def as_dict(counts_row) -> dict[int, int]:
+    return {int(c): int(counts_row[c]) for c in np.flatnonzero(counts_row)}
+
+
+class TestClassifyBatch:
+    def test_matches_reference_walk(self, tax):
+        """Batched votes equal the plain-Python walk on tie-heavy fuzzed banks."""
+        rng = np.random.default_rng(3003)
+        checked = fallbacks = 0
+        for case in range(36):
+            dim = 6
+            if case % 3 == 0:
+                crossed = crossed_label_bank(tax, rng, n_near=int(rng.integers(3, 9)), dim=dim)
+                bank = FeatureBank(dim, crossed.ids, crossed.labels,
+                                   rounded(crossed.vectors), tax.digest)
+            else:
+                n = int(rng.integers(10, 90))
+                vectors = rounded(unit_rows(rng, n, dim))
+                dup = int(rng.integers(1, 6))
+                vectors[n - dup:] = vectors[:dup]
+                bank = bank_from_arrays(tax, vectors, list(rng.integers(0, 13, n)))
+            queries = rounded(unit_rows(rng, 12, dim)).astype(np.float64)
+            queries = queries[queries.any(axis=1)]
+            k = (1, 2, 5, 7, 15, 35)[case % 6]
+            res = classify_batch(bank, queries, k, tax)
+            for i, q in enumerate(queries):
+                path, tallies, fallback, (flat_leaf, flat_tally) = reference_walk(bank, q, k, tax)
+                assert [res.y1[i], res.y2[i], res.y3[i]] == path, (case, i)
+                assert res.fallback[i].tolist() == fallback
+                assert [as_dict(c[i]) for c in res.counts] == tallies
+                assert res.flat_leaf[i] == flat_leaf
+                assert as_dict(res.flat_counts[i]) == flat_tally
+                checked += 1
+                fallbacks += any(fallback)
+        assert checked > 300 and fallbacks > 0
+
+    def test_one_row_wrappers_agree_with_batch(self, tax):
+        rng = np.random.default_rng(3004)
+        bank = crossed_label_bank(tax, rng, n_near=5)
+        queries = unit_rows(rng, 20, 6).astype(np.float64)
+        res = classify_batch(bank, queries, 4, tax)
+        for i, q in enumerate(queries):
+            pred = predict_hierarchical(bank, q, 4, tax)
+            assert (pred.y1, pred.y2, pred.y3) == (res.y1[i], res.y2[i], res.y3[i])
+            assert pred.fallback_used == tuple(res.fallback[i].tolist())
+            assert pred.tallies == tuple(as_dict(c[i]) for c in res.counts)
+            assert flat_vote(bank, q, 4) == (res.flat_leaf[i], as_dict(res.flat_counts[i]))
+
+    def test_wrappers_reach_classify_batch(self, tax, monkeypatch):
+        import hierknn.infer
+
+        calls = []
+        real = hierknn.infer.classify_batch
+        monkeypatch.setattr(hierknn.infer, "classify_batch",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        bank = angled_bank(tax, ["SNE", "SNE", "LY"])
+        predict_hierarchical(bank, axis_query(), 3, tax)
+        predict_flat(bank, axis_query(), 3)
+        flat_vote(bank, axis_query(), 3)
+        assert len(calls) == 3
+
+    def test_without_taxonomy_only_flat_columns(self, tax):
+        bank = angled_bank(tax, ["SNE", "SNE", "LY"])
+        res = classify_batch(bank, [axis_query()], 3)
+        assert res.y1 is None and res.counts is None and res.fallback is None
+        assert res.flat_leaf.tolist() == [tax.index_of(3, "SNE")]
+
+    def test_empty_query_block(self, tax):
+        bank = angled_bank(tax, ["SNE", "LY"])
+        res = classify_batch(bank, [], 2, tax)
+        assert res.y3.shape == (0,) and res.fallback.shape == (0, 3)
+        assert res.counts[2].shape == (0, tax.leaf_count)
+
+    @pytest.mark.parametrize("bad", [[float("nan"), 0.0, 0.0, 0.0], [0.0] * 4,
+                                     [float("inf"), 1.0, 0.0, 0.0]])
+    def test_unusable_query_rejected(self, tax, bad):
+        bank = angled_bank(tax, ["SNE", "LY"])
+        with pytest.raises(InferenceError, match="query 1"):
+            classify_batch(bank, [axis_query(), bad], 2, tax)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hierknn import cosine_similarity, top_k, top_k_filtered
+from hierknn import cosine_similarity, retrieve, top_k, top_k_filtered
+from hierknn.knn import _select
 from conftest import bank_from_arrays, unit_rows
 
 
@@ -160,3 +161,46 @@ class TestTopKFiltered:
         bank = self.build(tax, rng, n=5)
         with pytest.raises(ValueError, match="level"):
             top_k_filtered(bank, unit_rows(rng, 1, 6)[0], 2, 4, [0])
+
+
+class TestRetrieve:
+    def test_partial_selection_equals_full_stable_sort(self):
+        """The k-selection equals the first k of a full stable sort, ties and NaNs included."""
+        rng = np.random.default_rng(12)
+        for case in range(3000):
+            n = int(rng.integers(1, 60))
+            sims = rng.integers(-4, 5, n) / 4.0  # few distinct values: many ties
+            if case % 5 == 0:
+                sims[rng.random(n) < 0.3] = np.nan
+            k = int(rng.integers(1, n + 3))
+            want = np.argsort(-sims, kind="stable")[:k]
+            assert _select(sims, k).tolist() == want.tolist(), case
+
+    def test_rows_subset_matches_oracle(self, tax):
+        """Scanning an ascending subset gives the oracle's order over that subset."""
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            n = int(rng.integers(5, 120))
+            vectors = unit_rows(rng, n, 5)
+            vectors[n // 2:] = vectors[: n - n // 2]  # exact duplicate rows
+            bank = bank_from_arrays(tax, vectors, list(rng.integers(0, 13, n)))
+            rows = np.flatnonzero(rng.random(n) < 0.6)
+            q = unit_rows(rng, 1, 5)[0].astype(np.float64)
+            k = int(rng.integers(1, 12))
+            indices, sims = retrieve(bank, q, k, rows)
+            assert indices.tolist() == oracle_order(bank, q, k, rows=rows.tolist())
+            assert sims.tolist() == (bank.vectors64[indices] @ q).tolist()
+
+    def test_empty_rows_give_no_hits(self, tax):
+        bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(14), 4, 3), [0, 1, 2, 3])
+        indices, sims = retrieve(bank, [1.0, 0.0, 0.0], 3, np.array([], dtype=np.intp))
+        assert indices.size == 0 and sims.size == 0
+
+    def test_wrappers_share_retrieve(self, tax):
+        rng = np.random.default_rng(15)
+        bank = bank_from_arrays(tax, unit_rows(rng, 30, 4), list(rng.integers(0, 13, 30)))
+        q = unit_rows(rng, 1, 4)[0]
+        indices, sims = retrieve(bank, q, 6)
+        hits = top_k(bank, q, 6)
+        assert hits.entry_indices == tuple(indices.tolist())
+        assert hits.similarities == tuple(sims.tolist())

@@ -160,3 +160,26 @@ class TestMerge:
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             ConfusionMatrix(3).merge(ConfusionMatrix(4))
+
+
+class TestFromPairs:
+    def test_equals_pair_by_pair_adds(self):
+        """The vectorized count equals adding each pair in turn, repeats included."""
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            c = int(rng.integers(1, 9))
+            n = int(rng.integers(0, 150))
+            truth = list(rng.integers(0, c, n))
+            preds = [int(p) for p in rng.integers(0, c, n)]
+            one_by_one = ConfusionMatrix(c)
+            for t, p in zip(truth, preds):
+                one_by_one.add(int(t), p)
+            cm = ConfusionMatrix.from_pairs(iter(truth), iter(preds), c)
+            assert np.array_equal(cm.counts, one_by_one.counts)
+
+    @pytest.mark.parametrize("truth, preds", [([0, 1, 3], [0, 1, 2]), ([0, -1], [0, 0]),
+                                              ([0, 0], [2, 5])])
+    def test_first_out_of_range_pair_named(self, truth, preds):
+        i = next(j for j, (t, p) in enumerate(zip(truth, preds)) if not (0 <= t < 3 and 0 <= p < 3))
+        with pytest.raises(ValueError, match=rf"\({truth[i]}, {preds[i]}\) out of range for C=3"):
+            ConfusionMatrix.from_pairs(truth, preds, 3)
