@@ -12,10 +12,12 @@ __version__ = "0.1.0"
 from .bank import (
     FeatureBank,
     bank_build,
+    bank_build_arrays,
     bank_load,
     bank_merge,
     bank_save,
     l2_normalize,
+    normalize_rows,
     read_manifest,
     write_manifest,
 )

@@ -38,22 +38,35 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIIQ32s")
 _U16 = struct.Struct("<H")
 _LABELS = struct.Struct("<HHH")
+_PIECE = 1 << 20
+
+
+def normalize_rows(x, ids=None) -> np.ndarray:
+    """Scale each row of an (n, d) block to unit norm; float32 out, float64 arithmetic.
+
+    Each row's squared norm is its own BLAS dot product, summed as the one-row
+    ``np.linalg.norm`` sums it, so row i equals ``l2_normalize(x[i])`` bit for
+    bit. Raises BankError naming the first non-finite or near-zero (norm <=
+    1e-12) row: as ``ids[i]`` if ids are given, else by index.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise BankError(f"expected an (n, d) block, got shape {x.shape}")
+    if x.shape[1] == 0:
+        raise BankError("empty vector")
+    norms = np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+    finite = np.isfinite(x).all(axis=1)
+    bad = ~finite | (norms <= EPS_NORM)
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = f"row {i}" if ids is None else f"record {ids[i]!r}"
+        raise BankError(f"{row}: {'zero-norm' if finite[i] else 'non-finite'} vector")
+    return (x / norms[:, None]).astype(np.float32)
 
 
 def l2_normalize(v) -> np.ndarray:
-    """Scale ``v`` to unit Euclidean norm; float32 output, float64 arithmetic.
-
-    Raises BankError for near-zero (norm <= 1e-12) or non-finite input.
-    """
-    arr = np.asarray(v, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise BankError("empty vector")
-    if not np.all(np.isfinite(arr)):
-        raise BankError("non-finite vector")
-    norm = float(np.linalg.norm(arr))
-    if norm <= EPS_NORM:
-        raise BankError("zero-norm vector")
-    return (arr / norm).astype(np.float32)
+    """One-row form of :func:`normalize_rows`: ``v`` flattened, scaled to unit norm."""
+    return normalize_rows(np.asarray(v, dtype=np.float64).reshape(1, -1))[0]
 
 
 class FeatureBank:
@@ -63,7 +76,7 @@ class FeatureBank:
     vectors as a (n, dim) float32 array. Entry order is insertion order.
     The constructor checks shapes and id uniqueness but deliberately not
     per-entry label-path consistency, so corrupted or adversarial banks can
-    be represented and exercised; the manifest builder always derives
+    be represented and exercised; the bank builders always derive
     consistent paths.
     """
 
@@ -154,14 +167,14 @@ def write_manifest(records: Iterable[dict], sink: TextIO) -> None:
 def bank_build(records: Iterable[dict], tax: Taxonomy) -> FeatureBank:
     """Build a bank from manifest records, resolving leaf names to full paths.
 
-    Every record needs ``id``, ``label`` (leaf name) and ``vector``; vectors
-    are normalized and the input order is preserved.
+    Every record needs ``id``, ``label`` (leaf name) and ``vector``; the
+    checked columns go to :func:`bank_build_arrays`, which normalizes them
+    and keeps the input order.
     """
     ids: list[str] = []
-    labels: list[tuple[int, int, int]] = []
+    leaves: list[int] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
-    dim: int | None = None
 
     for rec in records:
         rid = rec["id"]
@@ -172,7 +185,7 @@ def bank_build(records: Iterable[dict], tax: Taxonomy) -> FeatureBank:
         if not isinstance(label, str):
             raise BankError(f"record {rid!r}: missing leaf label")
         try:
-            leaf = tax.index_of(3, label)
+            leaves.append(tax.index_of(3, label))
         except Exception:
             raise BankError(f"record {rid!r}: unknown leaf {label!r}") from None
         if "vector" not in rec:
@@ -180,30 +193,41 @@ def bank_build(records: Iterable[dict], tax: Taxonomy) -> FeatureBank:
         vec = np.asarray(rec["vector"], dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise BankError(f"record {rid!r}: vector must be a nonempty flat list")
-        if dim is None:
-            dim = int(vec.size)
-        elif vec.size != dim:
+        if rows and vec.size != rows[0].size:
             raise BankError(
-                f"record {rid!r}: dim mismatch (got {vec.size}, expected {dim})"
+                f"record {rid!r}: dim mismatch (got {vec.size}, expected {rows[0].size})"
             )
-        try:
-            rows.append(l2_normalize(vec))
-        except BankError as exc:
-            raise BankError(f"record {rid!r}: {exc}") from None
         ids.append(rid)
-        labels.append(tax.path_of(leaf).as_tuple())
+        rows.append(vec)
 
-    if dim is None:
+    if not rows:
         raise BankError("empty manifest: cannot infer vector dim")
+    return bank_build_arrays(ids, leaves, np.vstack(rows), tax)
+
+
+def bank_build_arrays(ids, leaves, vectors, tax: Taxonomy) -> FeatureBank:
+    """Build a bank from parallel columns: ids, leaf indices, (n, d) vectors.
+
+    Rows keep their order and are normalized by :func:`normalize_rows`; label
+    paths come from the leaves through ``Taxonomy.parents``. Errors name the
+    first bad record by id.
+    """
+    ids = tuple(ids)
+    leaves = np.asarray(leaves, dtype=np.int64)
+    if not ids:
+        raise BankError("no entries")
+    if not len(ids) == len(leaves) == len(vectors):
+        raise BankError("ids, leaves and vectors differ in length")
+    bad = (leaves < 0) | (leaves >= tax.leaf_count)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BankError(f"record {ids[i]!r}: leaf index {leaves[i]} out of range")
     if max(tax.node_count(l) for l in (1, 2, 3)) > 0xFFFF:
         raise BankError("taxonomy too large for 16-bit label indices")
-    return FeatureBank(
-        dim,
-        ids,
-        np.asarray(labels, dtype=np.uint16).reshape(len(ids), 3),
-        np.vstack(rows),
-        tax.digest,
-    )
+    l2 = np.asarray(tax.parents(3))[leaves]
+    labels = np.column_stack([np.asarray(tax.parents(2))[l2], l2, leaves])
+    vectors = normalize_rows(vectors, ids)
+    return FeatureBank(vectors.shape[1], ids, labels, vectors, tax.digest)
 
 
 def bank_save(bank: FeatureBank, sink: BinaryIO) -> None:
@@ -220,9 +244,14 @@ def bank_save(bank: FeatureBank, sink: BinaryIO) -> None:
 
 
 def _read_exact(source: BinaryIO, n: int) -> bytes:
-    data = source.read(n)
-    if len(data) != n:
-        raise BankFormatError(f"truncated stream (wanted {n} bytes, got {len(data)})")
+    # a long field is read in pieces, so a size taken from a bogus header
+    # allocates no more than the stream really holds
+    data = source.read(min(n, _PIECE))
+    while len(data) < n:
+        more = source.read(min(n - len(data), _PIECE))
+        if not more:
+            raise BankFormatError(f"truncated stream (wanted {n} bytes, got {len(data)})")
+        data += more
     return data
 
 
@@ -260,24 +289,26 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
             f"but {left} remain"
         )
 
+    # entries are collected as they arrive, never sized from the header's
+    # count, which a stream that cannot seek gives no way to check
     ids: list[str] = []
-    labels = np.zeros((count, 3), dtype=np.uint16)
-    vectors = np.zeros((count, dim), dtype=np.float32)
-    vec_bytes = 4 * dim
-    limits = tuple(tax.node_count(l) for l in (1, 2, 3))
-    for i in range(count):
+    label_bytes = bytearray()
+    vector_bytes = bytearray()
+    for _ in range(count):
         (id_len,) = _U16.unpack(_read_exact(source, _U16.size))
         ids.append(_read_exact(source, id_len).decode("utf-8"))
-        triple = _LABELS.unpack(_read_exact(source, _LABELS.size))
-        for level, (value, limit) in enumerate(zip(triple, limits), start=1):
-            if value >= limit:
-                raise BankFormatError(
-                    f"entry {ids[-1]!r}: level-{level} label {value} out of range"
-                )
-        labels[i] = triple
-        vectors[i] = np.frombuffer(_read_exact(source, vec_bytes), dtype="<f4")
+        label_bytes += _read_exact(source, _LABELS.size)
+        vector_bytes += _read_exact(source, 4 * dim)
     if source.read(1):
         raise BankFormatError("trailing bytes after final entry")
+    labels = np.frombuffer(label_bytes, dtype="<u2").reshape(count, 3)
+    vectors = np.frombuffer(vector_bytes, dtype="<f4").reshape(count, dim)
+    over = labels >= [tax.node_count(l) for l in (1, 2, 3)]
+    if over.any():
+        i, level = divmod(int(np.argmax(over)), 3)
+        raise BankFormatError(
+            f"entry {ids[i]!r}: level-{level + 1} label {labels[i, level]} out of range"
+        )
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         raise BankFormatError(f"entry {ids[int(np.argmin(finite))]!r}: non-finite vector")

@@ -241,10 +241,7 @@ def cmd_ensemble(args) -> int:
 
 
 def _truth_indices(records: list[dict], tax: Taxonomy) -> list[int]:
-    truth = []
-    for i, rec in enumerate(records):
-        truth.append(tax.index_of(3, _leaf_of_record(rec, "query", i)))
-    return truth
+    return [tax.index_of(3, _leaf_of_record(rec, "query", i)) for i, rec in enumerate(records)]
 
 
 def _maybe_shift(records, args):

@@ -52,6 +52,7 @@ def ensemble_vote(member_preds, member_margins, policy: str = "similarity-margin
     ``similarity-margin`` breaks a count tie by the larger summed margin
     among the tied leaves, then by the earliest predicting member;
     ``first-member`` goes straight to the earliest predicting member.
+    One-query form of :func:`combine_members`.
     """
     preds = [int(p) for p in member_preds]
     margins = [float(m) for m in member_margins]
@@ -59,22 +60,7 @@ def ensemble_vote(member_preds, member_margins, policy: str = "similarity-margin
         raise ValueError("empty member prediction list")
     if len(preds) != len(margins):
         raise ValueError("preds and margins are not aligned")
-    if policy not in TIE_POLICIES:
-        raise ValueError(f"unknown tie policy {policy!r}")
-
-    counts: dict[int, int] = {}
-    margin_sum: dict[int, float] = {}
-    first_member: dict[int, int] = {}
-    for i, (leaf, margin) in enumerate(zip(preds, margins)):
-        counts[leaf] = counts.get(leaf, 0) + 1
-        margin_sum[leaf] = margin_sum.get(leaf, 0.0) + margin
-        first_member.setdefault(leaf, i)
-
-    if policy == "similarity-margin":
-        key = lambda leaf: (-counts[leaf], -margin_sum[leaf], first_member[leaf])
-    else:
-        key = lambda leaf: (-counts[leaf], first_member[leaf])
-    return min(counts, key=key)
+    return combine_members([MemberOutputs((p,), (m,)) for p, m in zip(preds, margins)], policy)[0]
 
 
 @dataclass(frozen=True)
@@ -102,20 +88,33 @@ def member_outputs(
 
 
 def combine_members(members: list[MemberOutputs], policy: str = "similarity-margin") -> list[int]:
-    """Ensemble-vote each query across the given members, in member-index order."""
+    """Ensemble-vote each query across the given members, in member-index order.
+
+    All queries are voted in one pass over (queries, members) arrays; the
+    tie rules are those of :func:`ensemble_vote`.
+    """
     if not members:
         raise ValueError("no members")
     n = len(members[0].leaves)
     if any(len(m.leaves) != n for m in members):
         raise ValueError("members scored different query counts")
-    return [
-        ensemble_vote(
-            [m.leaves[j] for m in members],
-            [m.margins[j] for m in members],
-            policy,
-        )
-        for j in range(n)
-    ]
+    if policy not in TIE_POLICIES:
+        raise ValueError(f"unknown tie policy {policy!r}")
+    leaves = np.array([m.leaves for m in members]).T
+    classes, codes = np.unique(leaves, return_inverse=True)
+    size = n * len(classes)
+    # one bin per (query, leaf); bincount adds in member order, as a
+    # running sum over the members would
+    bins = np.repeat(np.arange(n) * len(classes), len(members)) + codes.ravel()
+    count = np.bincount(bins, minlength=size)[bins].reshape(leaves.shape)
+    best = count == count.max(axis=1, keepdims=True)
+    if policy == "similarity-margin":
+        margins = np.array([m.margins for m in members], dtype=np.float64).T.ravel()
+        total = np.bincount(bins, weights=margins, minlength=size)[bins]
+        total = np.where(best, total.reshape(leaves.shape), -np.inf)
+        best &= total == total.max(axis=1, keepdims=True)
+    # the earliest member holding a best leaf names the leaf that wins
+    return leaves[np.arange(n), np.argmax(best, axis=1)].tolist()
 
 
 def run_ensemble(cfg: EnsembleConfig, queries, tax: Taxonomy, flat: bool = False) -> list[tuple[str, int]]:
@@ -161,15 +160,12 @@ def ablation_grid(
         res = classify_batch(bank, vectors, k, tax)
         flat_members.append(_outputs(res, k, flat=True))
         hier_members.append(_outputs(res, k, flat=False))
-    rows = []
-    for m in range(1, len(banks) + 1):
-        flat_preds = combine_members(flat_members[:m], policy)
-        hier_preds = combine_members(hier_members[:m], policy)
-        rows.append(
-            AblationRow(
-                m,
-                macro_f1(ConfusionMatrix.from_pairs(truth, flat_preds, tax.leaf_count)),
-                macro_f1(ConfusionMatrix.from_pairs(truth, hier_preds, tax.leaf_count)),
-            )
-        )
-    return rows
+
+    def mf1(members: list[MemberOutputs]) -> float:
+        preds = combine_members(members, policy)
+        return macro_f1(ConfusionMatrix.from_pairs(truth, preds, tax.leaf_count))
+
+    return [
+        AblationRow(m, mf1(flat_members[:m]), mf1(hier_members[:m]))
+        for m in range(1, len(banks) + 1)
+    ]

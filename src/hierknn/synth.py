@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import FeatureBank, bank_build, l2_normalize
+from .bank import FeatureBank, bank_build_arrays, normalize_rows
 from .errors import SynthError
 from .taxonomy import Taxonomy
 
@@ -128,16 +128,12 @@ def _draw_plane(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _rotate_in_plane(x: np.ndarray, plane: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate rows of x by angle inside the plane; other directions fixed."""
+    """Rotate x along its last axis by angle inside the plane; other directions fixed."""
     u, v = plane[:, 0], plane[:, 1]
-    a = x @ u
-    b = x @ v
+    a = (x @ u)[..., None]
+    b = (x @ v)[..., None]
     cos_t, sin_t = np.cos(angle), np.sin(angle)
-    return (
-        x
-        + (cos_t - 1.0) * (np.outer(a, u) + np.outer(b, v))
-        + sin_t * (np.outer(a, v) - np.outer(b, u))
-    )
+    return x + (cos_t - 1.0) * (a * u + b * v) + sin_t * (a * v - b * u)
 
 
 # Sibling leaves sit this much closer to their mid-level group mean than the
@@ -209,39 +205,37 @@ def _leaf_means(cfg: SynthConfig, tax: Taxonomy, seed: np.random.SeedSequence) -
     return means
 
 
-def _split_counts(cfg: SynthConfig, tax: Taxonomy) -> list[tuple[int, int]]:
-    counts = cfg.per_leaf_counts
+def _split_counts(cfg: SynthConfig, tax: Taxonomy) -> tuple[np.ndarray, np.ndarray]:
+    """Per-leaf bank and query counts: floor(0.8 * count) and the rest."""
+    counts = np.asarray(cfg.per_leaf_counts, dtype=np.int64)
     if len(counts) != tax.leaf_count:
         raise SynthError(
             f"config has {len(counts)} per-leaf counts, taxonomy has {tax.leaf_count} leaves"
         )
-    split = []
-    for leaf_idx, n in enumerate(counts):
-        if n == 1:
-            name = tax.name_of(3, leaf_idx)
-            raise SynthError(f"count 1 for leaf {name} is too small to split 80/20")
-        n_bank = int(0.8 * n) if n else 0
-        split.append((n_bank, n - n_bank))
-    return split
+    if (counts == 1).any():
+        name = tax.name_of(3, int(np.argmax(counts == 1)))
+        raise SynthError(f"count 1 for leaf {name} is too small to split 80/20")
+    n_bank = (0.8 * counts).astype(np.int64)
+    return n_bank, counts - n_bank
 
 
-def _draw(rng, mean: np.ndarray, n: int, sigma: float) -> np.ndarray:
-    """n unit-normalized samples around a leaf mean."""
-    x = mean + sigma * rng.standard_normal((n, mean.shape[0]))
-    out = np.empty((n, mean.shape[0]), dtype=np.float32)
-    for i in range(n):
-        out[i] = l2_normalize(x[i])
-    return out
+def _draw(rng, means: np.ndarray, counts, sigma: float) -> np.ndarray:
+    """counts[i] unit-normalized samples around each leaf mean i, leaf by leaf."""
+    rows = np.repeat(means, counts, axis=0)
+    return normalize_rows(rows + sigma * rng.standard_normal(rows.shape))
 
 
-def _records(prefix: str, leaf_name: str, vectors: np.ndarray, start: int = 0) -> list[dict]:
+def _ids(prefix: str, tax: Taxonomy, counts) -> list[str]:
+    """Entry ids ``<prefix><leaf name>-<i>``, numbered from 0 within each leaf."""
+    return [f"{prefix}{name}-{i}" for name, n in zip(tax.leaf_names, counts) for i in range(n)]
+
+
+def _query_records(tax: Taxonomy, counts, vectors: np.ndarray) -> list[dict]:
+    """Manifest records for a query set laid out leaf by leaf."""
+    labels = np.repeat(tax.leaf_names, counts).tolist()
     return [
-        {
-            "id": f"{prefix}{leaf_name}-{start + i}",
-            "label": leaf_name,
-            "vector": [float(v) for v in vec],
-        }
-        for i, vec in enumerate(vectors)
+        {"id": rid, "label": label, "vector": vec}
+        for rid, label, vec in zip(_ids("q-", tax, counts), labels, vectors.tolist())
     ]
 
 
@@ -251,20 +245,18 @@ def generate(cfg: SynthConfig, tax: Taxonomy) -> tuple[FeatureBank, list[dict]]:
     The bank share is floor(0.8 * count); a leaf may have count 0 (absent
     entirely) but count 1 cannot be split and is an error.
     """
-    split = _split_counts(cfg, tax)
+    n_bank, n_query = _split_counts(cfg, tax)
     root = np.random.SeedSequence(cfg.seed)
     geom_seed, data_seed = root.spawn(2)
     means = _leaf_means(cfg, tax, geom_seed)
     rng = np.random.default_rng(data_seed)
 
-    bank_records: list[dict] = []
-    query_records: list[dict] = []
-    for leaf_idx, (n_bank, n_query) in enumerate(split):
-        name = tax.name_of(3, leaf_idx)
-        samples = _draw(rng, means[leaf_idx], n_bank + n_query, cfg.noise_sigma)
-        bank_records.extend(_records("", name, samples[:n_bank]))
-        query_records.extend(_records("q-", name, samples[n_bank:]))
-    return bank_build(bank_records, tax), query_records
+    # each leaf's samples are drawn together, its bank share first
+    leaves = np.repeat(np.arange(tax.leaf_count), n_bank + n_query)
+    samples = _draw(rng, means, n_bank + n_query, cfg.noise_sigma)
+    in_bank = np.concatenate([np.arange(b + q) < b for b, q in zip(n_bank, n_query)])
+    bank = bank_build_arrays(_ids("", tax, n_bank), leaves[in_bank], samples[in_bank], tax)
+    return bank, _query_records(tax, n_query, samples[~in_bank])
 
 
 # Each member bank stands in for a separate model export of the same data:
@@ -292,44 +284,31 @@ def generate_member_banks(
     """
     if n_members < 1:
         raise ValueError(f"need at least one member, got {n_members}")
-    split = _split_counts(cfg, tax)
+    n_bank, n_query = _split_counts(cfg, tax)
     root = np.random.SeedSequence(cfg.seed)
     seeds = root.spawn(2 + n_members)
     means = _leaf_means(cfg, tax, seeds[0])
 
     query_rng = np.random.default_rng(seeds[1])
-    query_records: list[dict] = []
-    for leaf_idx, (_, n_query) in enumerate(split):
-        name = tax.name_of(3, leaf_idx)
-        query_records.extend(
-            _records("q-", name, _draw(query_rng, means[leaf_idx], n_query, cfg.noise_sigma))
-        )
+    queries = _query_records(tax, n_query, _draw(query_rng, means, n_query, cfg.noise_sigma))
 
+    leaves = np.repeat(np.arange(tax.leaf_count), n_bank)
     banks: list[FeatureBank] = []
     for m in range(n_members):
         rng = np.random.default_rng(seeds[2 + m])
-        chunks: list[np.ndarray] = []
-        layout: list[tuple[str, int]] = []
-        for leaf_idx, (n_bank, _) in enumerate(split):
-            chunks.append(_draw(rng, means[leaf_idx], n_bank, cfg.noise_sigma))
-            layout.append((tax.name_of(3, leaf_idx), n_bank))
-        stacked = np.concatenate(chunks).astype(np.float64)
+        stacked = _draw(rng, means, n_bank, cfg.noise_sigma).astype(np.float64)
         bias_vec = _MEMBER_EXPORT_BIAS * _unit(rng, cfg.dim)
         angle = _MEMBER_EXPORT_ROTATION * (n_members - m) / n_members
         # two independent planes: a single-plane displacement could line
         # up with a query-side shift by chance, a composed pair cannot
         stacked = _rotate_in_plane(stacked, _draw_plane(rng, cfg.dim), angle)
         stacked = _rotate_in_plane(stacked, _draw_plane(rng, cfg.dim), angle) + bias_vec
-        records: list[dict] = []
-        offset = 0
-        for name, n_bank in layout:
-            block = np.empty((n_bank, cfg.dim), dtype=np.float32)
-            for i in range(n_bank):
-                block[i] = l2_normalize(stacked[offset + i])
-            records.extend(_records(f"m{m}-", name, block))
-            offset += n_bank
-        banks.append(bank_build(records, tax))
-    return banks, query_records
+        # normalized here and again by the builder, as exported entries
+        # always were; a second pass can move a last bit, so both stay
+        banks.append(
+            bank_build_arrays(_ids(f"m{m}-", tax, n_bank), leaves, normalize_rows(stacked), tax)
+        )
+    return banks, queries
 
 
 def apply_shift(records: list[dict], spec: ShiftSpec, seed: int) -> list[dict]:
@@ -339,26 +318,21 @@ def apply_shift(records: list[dict], spec: ShiftSpec, seed: int) -> list[dict]:
     2-plane, offset by a seeded random bias direction, perturbed with
     Gaussian noise, and re-normalized.
     """
-    out = []
+    if not records:
+        return []
+    dim = len(records[0]["vector"])
+    bad = next((rec for rec in records if len(rec["vector"]) != dim), None)
+    if bad is not None:
+        raise SynthError(f"record {bad.get('id')!r} has dim {len(bad['vector'])}, expected {dim}")
+    x = np.asarray([rec["vector"] for rec in records], dtype=np.float64)
     rng = np.random.default_rng(seed)
-    dim = None
-    plane = bias_vec = None
-    for rec in records:
-        x = np.asarray(rec["vector"], dtype=np.float64)
-        if dim is None:
-            dim = x.shape[0]
-            plane = _draw_plane(rng, dim)
-            bias_vec = spec.bias * _unit(rng, dim)
-        elif x.shape[0] != dim:
-            raise SynthError(f"record {rec.get('id')!r} has dim {x.shape[0]}, expected {dim}")
-
-        rotated = _rotate_in_plane(x[None, :], plane, spec.rotation_angle)[0]
-        shifted = rotated + bias_vec + spec.extra_noise * rng.standard_normal(dim)
-        out.append(
-            {
-                "id": rec["id"],
-                "label": rec["label"],
-                "vector": [float(val) for val in l2_normalize(shifted)],
-            }
-        )
-    return out
+    plane = _draw_plane(rng, dim)
+    bias_vec = spec.bias * _unit(rng, dim)
+    # each row rotated as a (1, dim) block, so its projections onto the
+    # plane are one dot product each, summed as for a single record
+    rotated = _rotate_in_plane(x[:, None, :], plane, spec.rotation_angle)[:, 0]
+    shifted = rotated + bias_vec + spec.extra_noise * rng.standard_normal(x.shape)
+    return [
+        {"id": rec["id"], "label": rec["label"], "vector": vec}
+        for rec, vec in zip(records, normalize_rows(shifted).tolist())
+    ]

@@ -17,12 +17,13 @@ from hierknn import FeatureBank, bank_build, default_taxonomy
 PACKAGE_ROOT = Path(hierknn.__file__).resolve().parent.parent
 
 
-def run_cli(args, cwd) -> subprocess.CompletedProcess:
+def run_cli(args, cwd, stdin=None) -> subprocess.CompletedProcess:
     """Run ``python -m hierknn *args`` in a fresh interpreter from ``cwd``.
 
     The child gets PACKAGE_ROOT first on its PYTHONPATH, so it runs the same
     package as the tests, whatever cwd is; the rest of the environment is
-    passed through unchanged.
+    passed through unchanged. ``stdin`` is handed to the child as is (a
+    file descriptor or file object); by default it inherits ours.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -30,7 +31,7 @@ def run_cli(args, cwd) -> subprocess.CompletedProcess:
     )
     return subprocess.run(
         [sys.executable, "-m", "hierknn", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=env, stdin=stdin, capture_output=True, text=True, timeout=300,
     )
 
 

@@ -12,11 +12,13 @@ from hierknn import (
     FeatureBank,
     ManifestError,
     bank_build,
+    bank_build_arrays,
     bank_load,
     bank_merge,
     bank_save,
     l2_normalize,
     load_taxonomy,
+    normalize_rows,
     read_manifest,
     write_manifest,
 )
@@ -28,6 +30,21 @@ def roundtrip(bank: FeatureBank, tax) -> FeatureBank:
     bank_save(bank, buf)
     buf.seek(0)
     return bank_load(buf, tax)
+
+
+class Unseekable(io.RawIOBase):
+    """A readable stream that cannot seek or tell, like a pipe."""
+
+    def __init__(self, data):
+        self.inner = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        chunk = self.inner.read(len(b))
+        b[: len(chunk)] = chunk
+        return len(chunk)
 
 
 def records_for(tax, leaves: list[str], dim: int = 4, seed: int = 0) -> list[dict]:
@@ -60,6 +77,97 @@ class TestNormalize:
             v = l2_normalize(rng.standard_normal(64) * rng.uniform(0.01, 100))
             assert v.dtype == np.float32
             assert abs(np.linalg.norm(v.astype(np.float64)) - 1.0) <= 1e-6
+
+
+class TestNormalizeRows:
+    @staticmethod
+    def reference(x: np.ndarray) -> np.ndarray:
+        """One row at a time, as a single-vector normalizer computes it."""
+        return np.stack([(row / np.sqrt(row.dot(row))).astype(np.float32) for row in x])
+
+    def test_equals_per_row_reference_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        dims = [4, 5, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 64, 100, 128, 255, 256, 257]
+        dims += rng.integers(4, 258, 20).tolist()
+        for dim in dims:
+            n = int(rng.integers(1, 40))
+            x = rng.standard_normal((n, dim)) * rng.uniform(1e-3, 1e3, (n, 1))
+            once = normalize_rows(x)
+            assert once.dtype == np.float32
+            assert once.tobytes() == self.reference(x).tobytes(), dim
+            # a second pass over already-unit float32 rows, as bank building does
+            again = once.astype(np.float64)
+            assert normalize_rows(again).tobytes() == self.reference(again).tobytes(), dim
+
+    def test_one_row_form_is_l2_normalize(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((25, 10))
+        rows = np.stack([l2_normalize(row) for row in x])
+        assert rows.tobytes() == normalize_rows(x).tobytes()
+
+    @pytest.mark.parametrize("bad, why", [
+        (np.nan, "non-finite"),
+        (np.inf, "non-finite"),
+        (0.0, "zero-norm"),
+        (1e-14, "zero-norm"),
+    ])
+    def test_first_unusable_row_named(self, bad, why):
+        x = np.ones((6, 4))
+        x[2] = bad if why == "zero-norm" else [1.0, bad, 1.0, 1.0]
+        x[4] = 0.0
+        with pytest.raises(BankError, match=f"row 2: {why} vector"):
+            normalize_rows(x)
+        with pytest.raises(BankError, match=f"record 'c': {why} vector"):
+            normalize_rows(x, ids="abcdef")
+
+    def test_shape_checked(self):
+        with pytest.raises(BankError, match="block"):
+            normalize_rows(np.ones(4))
+        with pytest.raises(BankError, match="empty"):
+            normalize_rows(np.ones((3, 0)))
+        assert normalize_rows(np.ones((0, 4))).shape == (0, 4)
+
+
+class TestBuildArrays:
+    def test_equals_bank_build(self, tax):
+        recs = records_for(tax, ["MO", "BA", "PC", "MO", "BL"], dim=7, seed=8)
+        built = bank_build(recs, tax)
+        direct = bank_build_arrays(
+            [r["id"] for r in recs],
+            [tax.index_of(3, r["label"]) for r in recs],
+            np.asarray([r["vector"] for r in recs]),
+            tax,
+        )
+        assert direct.ids == built.ids
+        assert direct.labels.tobytes() == built.labels.tobytes()
+        assert direct.vectors.tobytes() == built.vectors.tobytes()
+
+    def test_label_paths_follow_the_taxonomy(self, tax):
+        leaves = list(range(tax.leaf_count))
+        bank = bank_build_arrays(
+            [f"e{i}" for i in leaves], leaves, np.ones((len(leaves), 4)), tax
+        )
+        assert [tuple(row) for row in bank.labels.tolist()] == [
+            tax.path_of(leaf).as_tuple() for leaf in leaves
+        ]
+
+    def test_bad_records_named_by_id(self, tax):
+        vectors = np.ones((3, 4))
+        vectors[1] = 0.0
+        with pytest.raises(BankError, match="record 'y': zero-norm"):
+            bank_build_arrays(["x", "y", "z"], [0, 1, 2], vectors, tax)
+        with pytest.raises(BankError, match=f"record 'z': leaf index {tax.leaf_count} out of range"):
+            bank_build_arrays(["x", "y", "z"], [0, 1, tax.leaf_count], np.ones((3, 4)), tax)
+        with pytest.raises(BankError, match="record 'x': leaf index -1"):
+            bank_build_arrays(["x", "y", "z"], [-1, 1, 2], np.ones((3, 4)), tax)
+
+    def test_columns_must_align(self, tax):
+        with pytest.raises(BankError, match="differ in length"):
+            bank_build_arrays(["x", "y"], [0, 1, 2], np.ones((3, 4)), tax)
+        with pytest.raises(BankError, match="no entries"):
+            bank_build_arrays([], [], np.ones((0, 4)), tax)
+        with pytest.raises(BankError, match="duplicate id"):
+            bank_build_arrays(["x", "x"], [0, 1], np.ones((2, 4)), tax)
 
 
 class TestBuild:
@@ -275,21 +383,32 @@ class TestLoadRejectsBadInput:
             bank_load(io.BytesIO(buf.getvalue()), tax)
 
     def test_unseekable_stream_still_loads(self, tax):
-        class Unseekable(io.RawIOBase):
-            def __init__(self, data):
-                self.inner = io.BytesIO(data)
-
-            def readable(self):
-                return True
-
-            def readinto(self, b):
-                chunk = self.inner.read(len(b))
-                b[: len(chunk)] = chunk
-                return len(chunk)
-
         bank, data = self.saved(tax)
         loaded = bank_load(Unseekable(data), tax)
         assert loaded.vectors.tobytes() == bank.vectors.tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        (slice(12, 20), 2**40),  # count
+        (slice(8, 12), 2**31),   # dim
+    ])
+    def test_unseekable_oversized_header_is_truncation(self, tax, field, value):
+        """With no size to check against, the loader reads entries until the
+        stream ends; nothing is sized from the header alone."""
+        _, data = self.saved(tax)
+        header = bytearray(data)
+        header[field] = value.to_bytes(field.stop - field.start, "little")
+        with pytest.raises(BankFormatError, match="truncated"):
+            bank_load(Unseekable(bytes(header)), tax)
+
+    def test_out_of_range_label_names_entry_and_level(self, tax):
+        bank, _ = self.saved(tax)
+        bank.labels[2, 0] = tax.node_count(1)
+        bank.labels[1, 1] = tax.node_count(2) + 7
+        buf = io.BytesIO()
+        bank_save(bank, buf)
+        limit = tax.node_count(2) + 7
+        with pytest.raises(BankFormatError, match=f"'bb': level-2 label {limit} out of range"):
+            bank_load(io.BytesIO(buf.getvalue()), tax)
 
 
 class TestMerge:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -273,6 +274,24 @@ class TestBadInputs:
                     "--out", "p.jsonl"], tmp_path)
         self.assert_data_error(proc, str(2**40), tmp_path / "p.jsonl")
 
+    def test_oversized_bank_header_through_a_pipe(self, tmp_path):
+        """A stream that cannot seek gives no size to check the header's
+        count against: the entries run out, and that is a data error."""
+        make_synth(tmp_path)
+        data = bytearray((tmp_path / "bank.hbnk").read_bytes())
+        data[12:20] = (2**40).to_bytes(8, "little")
+        assert len(data) < 16384  # fits a pipe buffer, so one write cannot block
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, bytes(data))
+            os.close(write_end)
+            info = run(["bank", "info", "/dev/stdin"], tmp_path, stdin=read_end)
+        finally:
+            os.close(read_end)
+        assert info.returncode == 2, info.stderr
+        assert "truncated" in info.stderr, info.stderr
+        assert "Traceback" not in info.stderr, info.stderr
+
 
 class TestPinnedOutputs:
     """The determinism fixture's outputs, byte for byte.
@@ -308,6 +327,21 @@ class TestPinnedOutputs:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.PINNED}
         assert digests == self.PINNED
+
+    # synth with a query shift, and a bank built from the shifted queries
+    PINNED_SYNTH = {
+        "bank.hbnk": "74a163980b520e35988114b8e91192b6d5a2e144e09930d058e83f82370f30db",
+        "q.jsonl": "e60cbe5d1be4e633a940514c06b1c5ff219db54097a11821d80e55578e5c03a9",
+        "qbank.hbnk": "ec10624fde03609bb1a183e8501eea4d7dfb0c6a630f638cd8eab21a0ea59e2d",
+    }
+
+    def test_synth_and_build_match_pinned_digests(self, tmp_path):
+        make_synth(tmp_path, extra=("--rot", "0.3", "--bias", "0.1", "--noise", "0.1"))
+        proc = run(["bank", "build", "--manifest", "q.jsonl", "--out", "qbank.hbnk"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PINNED_SYNTH}
+        assert digests == self.PINNED_SYNTH
 
 
 class TestEntryPoint:

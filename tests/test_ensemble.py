@@ -111,6 +111,43 @@ class TestCombine:
             extra = MemberOutputs(tuple(base), tuple(rng.random(10)))
             assert combine_members(members + [extra]) == base
 
+    @staticmethod
+    def reference_vote(preds, margins, policy):
+        """Per-query vote as running tallies over the members, in order."""
+        counts, margin_sum, first = {}, {}, {}
+        for i, (leaf, margin) in enumerate(zip(preds, margins)):
+            counts[leaf] = counts.get(leaf, 0) + 1
+            margin_sum[leaf] = margin_sum.get(leaf, 0.0) + margin
+            first.setdefault(leaf, i)
+        if policy == "similarity-margin":
+            return min(counts, key=lambda leaf: (-counts[leaf], -margin_sum[leaf], first[leaf]))
+        return min(counts, key=lambda leaf: (-counts[leaf], first[leaf]))
+
+    @pytest.mark.parametrize("policy", ["similarity-margin", "first-member"])
+    def test_matches_running_tally_reference(self, policy):
+        """Heavy count ties, margins in k-fractions whose sums depend on the
+        order they are added in, and sparse or negative leaf values."""
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n, n_members = int(rng.integers(0, 25)), int(rng.integers(1, 10))
+            values = rng.choice([0, 1, 2, 5, 12, -3, 10**6], size=int(rng.integers(1, 5)),
+                                replace=False)
+            leaves = rng.choice(values, size=(n_members, n))
+            k = int(rng.choice([3, 7, 10, 35]))
+            margins = rng.integers(0, k + 1, size=(n_members, n)) / k
+            members = [MemberOutputs(tuple(l.tolist()), tuple(m.tolist()))
+                       for l, m in zip(leaves, margins)]
+            want = [self.reference_vote(leaves[:, j].tolist(), margins[:, j].tolist(), policy)
+                    for j in range(n)]
+            assert combine_members(members, policy) == want
+            for j in range(min(n, 3)):
+                assert ensemble_vote(leaves[:, j], margins[:, j], policy) == want[j]
+
+    def test_unknown_policy_rejected(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError, match="tie policy"):
+            combine_members(random_outputs(rng, 2, 4), policy="coin-flip")
+
     def test_mismatched_query_counts_rejected(self):
         rng = np.random.default_rng(5)
         a = random_outputs(rng, 1, 10)[0]

@@ -232,6 +232,38 @@ class TestApplyShift:
         degraded = mf1_of(shifted)
         assert degraded < clean
 
+    @staticmethod
+    def reference_shift(records, spec, seed):
+        """The shift applied one record at a time, each vector a (1, dim) row."""
+        rng = np.random.default_rng(seed)
+        dim = len(records[0]["vector"])
+        q, r = np.linalg.qr(rng.standard_normal((dim, 2)))
+        plane = q * np.sign(np.diag(r))
+        u, v = plane[:, 0], plane[:, 1]
+        b = rng.standard_normal(dim)
+        bias = spec.bias * (b / np.linalg.norm(b))
+        cos_t, sin_t = np.cos(spec.rotation_angle), np.sin(spec.rotation_angle)
+        out = []
+        for rec in records:
+            x = np.asarray(rec["vector"], dtype=np.float64)[None, :]
+            a, c = x @ u, x @ v
+            rotated = (x + (cos_t - 1.0) * (np.outer(a, u) + np.outer(c, v))
+                       + sin_t * (np.outer(a, v) - np.outer(c, u)))[0]
+            shifted = rotated + bias + spec.extra_noise * rng.standard_normal(dim)
+            unit = (shifted / np.sqrt(shifted.dot(shifted))).astype(np.float32)
+            out.append({"id": rec["id"], "label": rec["label"], "vector": unit.tolist()})
+        return out
+
+    @pytest.mark.parametrize("dim", [4, 5, 8, 10, 17, 33, 64, 129])
+    def test_equals_one_record_at_a_time(self, tax, dim):
+        """The batched pass gives the per-record result bit for bit."""
+        _, queries = generate(SynthConfig(dim=dim, seed=dim), tax)
+        for spec, seed in ((MODERATE_SHIFT, 3), (ShiftSpec(1.1, 0.4, 0.0), 8)):
+            assert apply_shift(queries, spec, seed) == self.reference_shift(queries, spec, seed)
+
+    def test_empty_manifest(self):
+        assert apply_shift([], MODERATE_SHIFT, seed=1) == []
+
     def test_mixed_dims_rejected(self, tax):
         _, queries = generate(SMALL, tax)
         queries = list(queries)
