@@ -20,7 +20,6 @@ Manifest format: one JSON object per line with fields ``id`` (string),
 """
 from __future__ import annotations
 
-import io
 import json
 import struct
 from typing import BinaryIO, Iterable, Iterator, TextIO
@@ -31,14 +30,12 @@ from .errors import BankError, BankFormatError, ManifestError
 from .taxonomy import Taxonomy
 
 EPS_NORM = 1e-12
-UNIT_TOL = 1e-6
 
 _MAGIC = b"HBNK"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQ32s")
 _U16 = struct.Struct("<H")
 _LABELS = struct.Struct("<HHH")
-_PIECE = 1 << 20
 
 
 def normalize_rows(x, ids=None) -> np.ndarray:
@@ -231,78 +228,78 @@ def bank_build_arrays(ids, leaves, vectors, tax: Taxonomy) -> FeatureBank:
 
 
 def bank_save(bank: FeatureBank, sink: BinaryIO) -> None:
-    """Serialize a bank; round-trips bit-exactly through :func:`bank_load`."""
-    sink.write(_HEADER.pack(_MAGIC, _VERSION, bank.dim, len(bank), bank.taxonomy_digest))
+    """Serialize a bank; round-trips bit-exactly through :func:`bank_load`.
+
+    Every id is encoded and checked before anything is written; the entries
+    then go out in one write, their labels and vectors taken from one
+    (n, 6 + 4 * dim) byte array.
+    """
+    n, block = len(bank), _LABELS.size + 4 * bank.dim
+    rows = np.empty((n, block), dtype=np.uint8)
+    rows[:, :_LABELS.size] = bank.labels.astype("<u2", copy=False).view(np.uint8)
+    rows[:, _LABELS.size:] = bank.vectors.astype("<f4", copy=False).view(np.uint8)
+    body = memoryview(rows.reshape(-1))
+    parts = [_HEADER.pack(_MAGIC, _VERSION, bank.dim, n, bank.taxonomy_digest)]
     for i, rid in enumerate(bank.ids):
         id_bytes = rid.encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise BankError(f"id {rid!r} exceeds 65535 UTF-8 bytes")
-        sink.write(_U16.pack(len(id_bytes)))
-        sink.write(id_bytes)
-        sink.write(_LABELS.pack(*(int(x) for x in bank.labels[i])))
-        sink.write(bank.vectors[i].astype("<f4", copy=False).tobytes())
-
-
-def _read_exact(source: BinaryIO, n: int) -> bytes:
-    # a long field is read in pieces, so a size taken from a bogus header
-    # allocates no more than the stream really holds
-    data = source.read(min(n, _PIECE))
-    while len(data) < n:
-        more = source.read(min(n - len(data), _PIECE))
-        if not more:
-            raise BankFormatError(f"truncated stream (wanted {n} bytes, got {len(data)})")
-        data += more
-    return data
-
-
-def _bytes_left(source: BinaryIO) -> int | None:
-    """Bytes between the stream position and its end; None if it cannot seek."""
-    try:
-        pos = source.tell()
-        end = source.seek(0, io.SEEK_END)
-        source.seek(pos)
-    except (AttributeError, OSError, ValueError):
-        return None
-    return end - pos
+        parts += (_U16.pack(len(id_bytes)), id_bytes, body[i * block:(i + 1) * block])
+    sink.write(b"".join(parts))
 
 
 def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
     """Deserialize a bank, checking magic, version, and taxonomy digest.
 
+    The stream is read once, to its end, and no size from the header is
+    trusted that the bytes read do not back: count and dim are checked
+    against them before any entry is parsed, for files and pipes alike.
     Label indices are range-checked against ``tax`` and vectors must be
     finite; parent consistency of stored triples is not re-derived,
-    matching what was written. On a seekable stream the header's count and
-    dim are checked against the bytes left before anything is allocated.
+    matching what was written.
     """
-    magic, version, dim, count, digest = _HEADER.unpack(_read_exact(source, _HEADER.size))
+    data = source.read()
+    if len(data) < _HEADER.size:
+        raise BankFormatError(f"truncated stream ({len(data)} bytes, header needs {_HEADER.size})")
+    magic, version, dim, count, digest = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise BankFormatError(f"bad magic {magic!r}")
     if version != _VERSION:
         raise BankFormatError(f"unsupported version {version}")
     if digest != tax.digest:
         raise BankFormatError("taxonomy mismatch (digest differs)")
-    left = _bytes_left(source)
-    need = count * (_U16.size + _LABELS.size + 4 * dim)
-    if left is not None and need > left:
+    block = _LABELS.size + 4 * dim
+    need = count * (_U16.size + block)
+    # what the fixed-size fields leave over is all the id bytes there can be
+    spare = len(data) - _HEADER.size - need
+    if spare < 0:
         raise BankFormatError(
-            f"header claims {count} entries of dim {dim}: at least {need} bytes, "
-            f"but {left} remain"
+            f"truncated stream: header claims {count} entries of dim {dim}, at least "
+            f"{need} bytes, but {len(data) - _HEADER.size} remain"
         )
 
-    # entries are collected as they arrive, never sized from the header's
-    # count, which a stream that cannot seek gives no way to check
+    view = memoryview(data)
     ids: list[str] = []
-    label_bytes = bytearray()
-    vector_bytes = bytearray()
-    for _ in range(count):
-        (id_len,) = _U16.unpack(_read_exact(source, _U16.size))
-        ids.append(_read_exact(source, id_len).decode("utf-8"))
-        label_bytes += _read_exact(source, _LABELS.size)
-        vector_bytes += _read_exact(source, 4 * dim)
-    if source.read(1):
-        raise BankFormatError("trailing bytes after final entry")
-    labels = np.frombuffer(label_bytes, dtype="<u2").reshape(count, 3)
-    vectors = np.frombuffer(vector_bytes, dtype="<f4").reshape(count, dim)
+    blocks = []
+    pos = _HEADER.size
+    for i in range(count):
+        (id_len,) = _U16.unpack_from(data, pos)
+        spare -= id_len
+        if spare < 0:
+            raise BankFormatError(f"truncated stream: entry {i} at byte {pos} runs past the end")
+        start = pos + _U16.size
+        pos = start + id_len + block
+        try:
+            ids.append(data[start:start + id_len].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise BankFormatError(f"entry {i}: id at byte {start} is not valid UTF-8") from None
+        blocks.append(view[pos - block:pos])
+    if spare:
+        raise BankFormatError(f"trailing bytes after final entry (byte {pos})")
+    rows = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(count, block)
+    del data, view, blocks  # the joined blocks alone stay while the columns are copied
+    labels = rows[:, :_LABELS.size].copy().view("<u2")
+    vectors = rows[:, _LABELS.size:].copy().view("<f4")
     over = labels >= [tax.node_count(l) for l in (1, 2, 3)]
     if over.any():
         i, level = divmod(int(np.argmax(over)), 3)

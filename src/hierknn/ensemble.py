@@ -13,7 +13,7 @@ import numpy as np
 
 from .bank import FeatureBank
 from .errors import InferenceError
-from .infer import BatchPrediction, classify_batch
+from .infer import BatchPrediction, _vote, classify_batch
 from .knn import DEFAULT_K
 from .metrics import ConfusionMatrix, macro_f1
 from .taxonomy import Taxonomy
@@ -90,8 +90,9 @@ def member_outputs(
 def combine_members(members: list[MemberOutputs], policy: str = "similarity-margin") -> list[int]:
     """Ensemble-vote each query across the given members, in member-index order.
 
-    All queries are voted in one pass over (queries, members) arrays; the
-    tie rules are those of :func:`ensemble_vote`.
+    All queries are voted in one pass over (queries, members) arrays, by the
+    routine :func:`~hierknn.infer.classify_batch` votes with; the tie rules
+    are those of :func:`ensemble_vote`.
     """
     if not members:
         raise ValueError("no members")
@@ -101,20 +102,15 @@ def combine_members(members: list[MemberOutputs], policy: str = "similarity-marg
     if policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {policy!r}")
     leaves = np.array([m.leaves for m in members]).T
-    classes, codes = np.unique(leaves, return_inverse=True)
-    size = n * len(classes)
-    # one bin per (query, leaf); bincount adds in member order, as a
-    # running sum over the members would
-    bins = np.repeat(np.arange(n) * len(classes), len(members)) + codes.ravel()
-    count = np.bincount(bins, minlength=size)[bins].reshape(leaves.shape)
-    best = count == count.max(axis=1, keepdims=True)
+    # each member's leaf is coded by the first member that voted for it, so
+    # _vote's "lower code wins a full tie" is "the earliest member wins"
+    codes = (leaves[:, :, None] == leaves[:, None, :]).argmax(axis=2)
     if policy == "similarity-margin":
-        margins = np.array([m.margins for m in members], dtype=np.float64).T.ravel()
-        total = np.bincount(bins, weights=margins, minlength=size)[bins]
-        total = np.where(best, total.reshape(leaves.shape), -np.inf)
-        best &= total == total.max(axis=1, keepdims=True)
-    # the earliest member holding a best leaf names the leaf that wins
-    return leaves[np.arange(n), np.argmax(best, axis=1)].tolist()
+        margins = np.array([m.margins for m in members], dtype=np.float64).T
+    else:
+        margins = np.zeros(leaves.shape)
+    winners, _ = _vote(codes, margins, len(members))
+    return leaves[np.arange(n), winners].tolist()
 
 
 def run_ensemble(cfg: EnsembleConfig, queries, tax: Taxonomy, flat: bool = False) -> list[tuple[str, int]]:

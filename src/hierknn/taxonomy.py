@@ -29,8 +29,6 @@ from importlib import resources
 
 from .errors import TaxonomyError
 
-LEVEL_COUNT = 3
-
 _SECTIONS = {"[level1]": 1, "[level2]": 2, "[level3]": 3}
 
 
@@ -83,10 +81,6 @@ class Taxonomy:
         lines.append(",".join(f"{n}:{p}" for n, p in zip(self._names[1], self._parent2)))
         lines.append(",".join(f"{n}:{p}" for n, p in zip(self._names[2], self._parent3)))
         return hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
-
-    @property
-    def level_count(self) -> int:
-        return LEVEL_COUNT
 
     @property
     def digest(self) -> bytes:

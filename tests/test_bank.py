@@ -319,6 +319,33 @@ class TestSerialization:
         with pytest.raises(BankFormatError, match="trailing"):
             bank_load(io.BytesIO(buf.getvalue() + b"x"), tax)
 
+    def test_overlong_id_writes_nothing(self, tax):
+        """Every id is checked before the first byte goes out."""
+        ids = ["a", "bb", "x" * 0x10000]
+        bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(6), 3, 4), [0, 1, 2], ids=ids)
+        buf = io.BytesIO()
+        with pytest.raises(BankError, match="exceeds 65535 UTF-8 bytes"):
+            bank_save(bank, buf)
+        assert buf.getvalue() == b""
+
+    def test_save_is_one_write(self, tax):
+        """Header and entries go out together, not one write per entry."""
+        leaves = [i % tax.leaf_count for i in range(30)]
+        bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(7), 30, 4), leaves)
+
+        class Sink(io.BytesIO):
+            writes = 0
+
+            def write(self, b):
+                self.writes += 1
+                return super().write(b)
+
+        sink = Sink()
+        bank_save(bank, sink)
+        assert sink.writes == 1
+        sink.seek(0)
+        assert bank_load(sink, tax).vectors.tobytes() == bank.vectors.tobytes()
+
     def test_out_of_range_label_rejected(self, tax):
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(4), 1, 4), [0])
         bank.labels[0, 2] = tax.leaf_count
@@ -353,12 +380,43 @@ class TestLoadRejectsBadInput:
         return offsets
 
     def test_truncation_at_every_field_boundary(self, tax):
+        """Every cut, at a field boundary or inside a field, of a file or a
+        pipe, is a truncated stream: never a struct, index or decode error."""
         bank, data = self.saved(tax)
         boundaries = self.field_boundaries(bank)
         assert boundaries[-1] == len(data)
-        for cut in [0] + boundaries[:-1]:
-            with pytest.raises(BankFormatError):
-                bank_load(io.BytesIO(data[:cut]), tax)
+        for cut in range(len(data)):
+            for stream in (io.BytesIO, Unseekable):
+                with pytest.raises(BankFormatError, match="truncated"):
+                    bank_load(stream(data[:cut]), tax)
+
+    def test_invalid_utf8_id_names_entry_and_offset(self, tax):
+        _, data = self.saved(tax)
+        corrupt = bytearray(data)
+        offset = 52 + (2 + 1 + 6 + 16) + 2  # header, entry 0, entry 1's id length
+        assert corrupt[offset:offset + 2] == b"bb"
+        corrupt[offset] = 0xFF
+        message = f"entry 1: id at byte {offset} is not valid UTF-8"
+        with pytest.raises(BankFormatError, match=message):
+            bank_load(io.BytesIO(bytes(corrupt)), tax)
+
+    def test_source_needs_only_read(self, tax):
+        """The loader reads the source once and never seeks or tells."""
+        bank, data = self.saved(tax)
+
+        class ReadOnly:
+            def __init__(self):
+                self.calls = 0
+
+            def read(self, *args):
+                self.calls += 1
+                return data
+
+        source = ReadOnly()
+        loaded = bank_load(source, tax)
+        assert source.calls == 1
+        assert loaded.ids == bank.ids
+        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
 
     def test_oversized_count_named_before_allocation(self, tax):
         _, data = self.saved(tax)
@@ -392,8 +450,8 @@ class TestLoadRejectsBadInput:
         (slice(8, 12), 2**31),   # dim
     ])
     def test_unseekable_oversized_header_is_truncation(self, tax, field, value):
-        """With no size to check against, the loader reads entries until the
-        stream ends; nothing is sized from the header alone."""
+        """A pipe is read to its end and its header checked against the bytes
+        read, as a file's is; nothing is sized from the header alone."""
         _, data = self.saved(tax)
         header = bytearray(data)
         header[field] = value.to_bytes(field.stop - field.start, "little")

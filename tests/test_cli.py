@@ -275,8 +275,8 @@ class TestBadInputs:
         self.assert_data_error(proc, str(2**40), tmp_path / "p.jsonl")
 
     def test_oversized_bank_header_through_a_pipe(self, tmp_path):
-        """A stream that cannot seek gives no size to check the header's
-        count against: the entries run out, and that is a data error."""
+        """A pipe is read to its end, and the header's count is checked
+        against the bytes read: a truncated stream, and a data error."""
         make_synth(tmp_path)
         data = bytearray((tmp_path / "bank.hbnk").read_bytes())
         data[12:20] = (2**40).to_bytes(8, "little")
@@ -291,6 +291,19 @@ class TestBadInputs:
         assert info.returncode == 2, info.stderr
         assert "truncated" in info.stderr, info.stderr
         assert "Traceback" not in info.stderr, info.stderr
+
+    def test_invalid_utf8_bank_id(self, tmp_path):
+        make_synth(tmp_path)
+        data = bytearray((tmp_path / "bank.hbnk").read_bytes())
+        data[54] = 0xFF  # first byte of entry 0's id, after the 52-byte header and its length
+        (tmp_path / "badid.hbnk").write_bytes(bytes(data))
+        info = run(["bank", "info", "badid.hbnk"], tmp_path)
+        assert info.returncode == 2, info.stderr
+        assert "entry 0: id at byte 54 is not valid UTF-8" in info.stderr, info.stderr
+        assert "Traceback" not in info.stderr, info.stderr
+        proc = run(["classify", "--bank", "badid.hbnk", "--queries", "q.jsonl",
+                    "--out", "p.jsonl"], tmp_path)
+        self.assert_data_error(proc, "entry 0", tmp_path / "p.jsonl")
 
 
 class TestPinnedOutputs:
