@@ -51,7 +51,7 @@ from .infer import (
     vote_margin,
     vote_mode,
 )
-from .knn import DEFAULT_K, NeighborSet, cosine_similarity, retrieve, top_k, top_k_filtered
+from .knn import DEFAULT_K, NeighborSet, cosine_similarity, retrieve, search, top_k, top_k_filtered
 from .metrics import (
     ConfusionMatrix,
     F1_CONVENTION,

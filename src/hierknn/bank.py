@@ -101,7 +101,9 @@ class FeatureBank:
             raise BankError(f"vectors shape {self.vectors.shape} != ({n}, {self.dim})")
         if len(set(self.ids)) != n:
             raise BankError("duplicate id in bank")
-        self._vectors64: np.ndarray | None = None
+        # largest row norm, summed in f64: bounds the rounding of f32 scores
+        sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64)
+        self.max_norm = float(np.sqrt(sq_norms.max(initial=0.0)))
 
     @classmethod
     def empty(cls, dim: int, taxonomy_digest: bytes) -> "FeatureBank":
@@ -115,13 +117,6 @@ class FeatureBank:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def vectors64(self) -> np.ndarray:
-        """Float64 view of the vectors, cached; used for 64-bit similarity sums."""
-        if self._vectors64 is None:
-            self._vectors64 = self.vectors.astype(np.float64)
-        return self._vectors64
 
     def leaf_histogram(self) -> dict[int, int]:
         """Entry count per leaf index, leaves with entries only."""

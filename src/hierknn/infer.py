@@ -21,7 +21,7 @@ import numpy as np
 
 from .bank import FeatureBank
 from .errors import InferenceError
-from .knn import retrieve
+from .knn import search
 from .taxonomy import LabelPath, Taxonomy
 
 
@@ -88,16 +88,6 @@ def vote_mode(labels, sims) -> int:
     return int(_vote(labels, sims, int(labels.max()) + 1)[0][0])
 
 
-def _join(parts):
-    """Concatenate per-block columns, recursing into tuples; None stays None."""
-    if isinstance(parts[0], tuple):
-        return tuple(_join(column) for column in zip(*parts))
-    return None if parts[0] is None else np.concatenate(parts)
-
-
-_BLOCK = 64  # queries voted together, bounding the (block, k) temporaries
-
-
 def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy | None = None) -> BatchPrediction:
     """Classify the rows of ``Q`` (m x dim), retrieving each query's neighbors once.
 
@@ -107,24 +97,10 @@ def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy | None = None) ->
     """
     if tax is not None and bank.taxonomy_digest != tax.digest:
         raise InferenceError("bank was built against a different taxonomy (digest mismatch)")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     Q = np.asarray(Q, dtype=np.float64)
     if Q.shape == (0,):
         Q = Q.reshape(0, bank.dim)
-    if Q.ndim != 2:
-        raise ValueError(f"query block must be 2-D (m x dim), got shape {Q.shape}")
-    usable = np.isfinite(Q).all(axis=1) & Q.any(axis=1)
-    if not usable.all():
-        raise InferenceError(f"query {int(np.argmin(usable))}: vector is non-finite or all zero")
-    if len(Q) > _BLOCK:
-        parts = [classify_batch(bank, Q[i:i + _BLOCK], k, tax) for i in range(0, len(Q), _BLOCK)]
-        return BatchPrediction(*_join(parts))
-
-    indices = np.empty((len(Q), min(k, len(bank))), dtype=np.intp)
-    sims = np.empty(indices.shape)
-    for i, q in enumerate(Q):
-        indices[i], sims[i] = retrieve(bank, q, k)
+    indices, sims = search(bank, Q, k)
     labels = bank.labels[indices].astype(np.int64)
     n_leaves = tax.leaf_count if tax is not None else int(bank.labels[:, 2].max(initial=0)) + 1
     flat = _vote(labels[:, :, 2], sims, n_leaves)
@@ -140,18 +116,19 @@ def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy | None = None) ->
         col = labels[:, :, level - 1]
         under = parent[col] == ys[-1][:, None]
         y, c = _vote(np.where(under, col, -1), sims, len(parent))
-        for i in np.flatnonzero(~under.any(axis=1)):  # re-query the children's entries
-            rows = np.flatnonzero(parent[bank.labels[:, level - 1]] == ys[-1][i])
+        lost = np.flatnonzero(~under.any(axis=1))
+        for node in dict.fromkeys(ys[-1][lost].tolist()):  # re-query the children's entries
+            rows = np.flatnonzero(parent[bank.labels[:, level - 1]] == node)
             if rows.size == 0:
                 raise InferenceError(
                     f"no bank entry under predicted level-{level - 1} node "
-                    f"{tax.name_of(level - 1, int(ys[-1][i]))!r}"
+                    f"{tax.name_of(level - 1, node)!r}"
                 )
-            fb_indices, fb_sims = retrieve(bank, Q[i], k, rows)
+            sel = lost[ys[-1][lost] == node]
+            fb_indices, fb_sims = search(bank, Q[sel], k, rows)
             fb_labels = bank.labels[fb_indices, level - 1].astype(np.int64)
-            winner, tally = _vote(fb_labels[None], fb_sims[None], len(parent))
-            y[i], c[i] = winner[0], tally[0]
-            fallback[i, level - 1] = True
+            y[sel], c[sel] = _vote(fb_labels, fb_sims, len(parent))
+            fallback[sel, level - 1] = True
         ys.append(y)
         counts.append(c)
     return BatchPrediction(*flat, *ys, fallback, tuple(counts))

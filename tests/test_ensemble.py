@@ -279,13 +279,13 @@ class TestSharedInference:
             assert fm == vote_margin(flat_vote(bank, q, 9)[1], 9)
 
     def test_ablation_retrieves_each_pair_once(self, tax, monkeypatch):
-        """One retrieval per (bank, query), plus one per fallback re-query."""
+        """One kernel query row per (bank, query), plus one per fallback re-query."""
         import hierknn.infer
 
         calls = []
-        real = hierknn.infer.retrieve
-        monkeypatch.setattr(hierknn.infer, "retrieve",
-                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        real = hierknn.infer.search
+        monkeypatch.setattr(hierknn.infer, "search",
+                            lambda bank, Q, *a: calls.extend(Q) or real(bank, Q, *a))
         rng = np.random.default_rng(15)
         banks = [crossed_label_bank(tax, rng, n_near=6) for _ in range(2)]
         banks.append(bank_from_arrays(tax, unit_rows(rng, 50, 6), list(rng.integers(0, 13, 50))))

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hierknn import cosine_similarity, retrieve, top_k, top_k_filtered
+import hierknn.knn
+from hierknn import classify_batch, cosine_similarity, retrieve, search, top_k, top_k_filtered
 from hierknn.knn import _select
 from conftest import bank_from_arrays, unit_rows
 
@@ -189,7 +191,8 @@ class TestRetrieve:
             k = int(rng.integers(1, 12))
             indices, sims = retrieve(bank, q, k, rows)
             assert indices.tolist() == oracle_order(bank, q, k, rows=rows.tolist())
-            assert sims.tolist() == (bank.vectors64[indices] @ q).tolist()
+            rescored = (bank.vectors[indices].astype(np.float64) * q).sum(axis=1)
+            assert sims.tolist() == rescored.tolist()
 
     def test_empty_rows_give_no_hits(self, tax):
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(14), 4, 3), [0, 1, 2, 3])
@@ -204,3 +207,98 @@ class TestRetrieve:
         hits = top_k(bank, q, 6)
         assert hits.entry_indices == tuple(indices.tolist())
         assert hits.similarities == tuple(sims.tolist())
+
+
+class TestSearch:
+    """The batched kernel against the full-sort fsum oracle, edge cases included."""
+
+    def check(self, bank, Q, k, rows=None):
+        indices, sims = search(bank, Q, k, rows)
+        for i, q in enumerate(Q):
+            want = oracle_order(bank, q, k, rows=None if rows is None else rows.tolist())
+            assert indices[i].tolist() == want, i
+            exact = [math.fsum(float(a) * float(b) for a, b in zip(bank.vectors[j], q))
+                     for j in want]
+            np.testing.assert_allclose(sims[i], exact, rtol=1e-12, atol=0)
+
+    def test_duplicate_head_and_tail_rows_tie_by_index(self, tax):
+        """Rows 0 and n-1 are equal: equal sims, and row 0 ranks first."""
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            n = int(rng.integers(9, 200))
+            dim = int(rng.integers(8, 65))
+            vectors = unit_rows(rng, n, dim)
+            vectors[-1] = vectors[0]
+            leaves = list(rng.integers(0, 13, n))
+            leaves[-1] = (leaves[0] + 1) % 13
+            bank = bank_from_arrays(tax, vectors, leaves)
+            hits = top_k(bank, unit_rows(rng, 1, dim)[0], n)
+            first, last = hits.entry_indices.index(0), hits.entry_indices.index(n - 1)
+            assert hits.similarities[first] == hits.similarities[last]
+            assert first < last
+            # k = 1 on the duplicated row itself: the vote shows which copy ranked first
+            res = classify_batch(bank, vectors[[0, -1]], 1, tax)
+            assert res.flat_leaf.tolist() == [leaves[0]] * 2
+            assert res.y3.tolist() == [leaves[0]] * 2
+
+    def test_query_blocks_k_beyond_bank_and_rows(self, tax, monkeypatch):
+        """More queries than one score block, k >= n, and a rows mask."""
+        rng = np.random.default_rng(21)
+        n, dim = 60, 12
+        bank = bank_from_arrays(tax, unit_rows(rng, n, dim), list(rng.integers(0, 13, n)))
+        monkeypatch.setattr(hierknn.knn, "_SCORE_BYTES", 4 * n * 3)  # 3 queries per block
+        Q = unit_rows(rng, 10, dim).astype(np.float64)
+        rows = np.flatnonzero(rng.random(n) < 0.5)
+        for k in (1, 7, n, n + 5):
+            self.check(bank, Q, k)
+            self.check(bank, Q, k, rows)
+
+    def test_rows_one_f32_ulp_apart(self, tax):
+        """Rows one f32 ulp apart, which f32 scores tie or misorder, rank by f64."""
+        rng = np.random.default_rng(22)
+        dim = 16
+        base = unit_rows(rng, 3, dim)
+        near = np.repeat(base, 12, axis=0)
+        at = np.arange(len(near)), rng.integers(0, dim, len(near))
+        up = np.float32(np.inf)
+        near[at] = np.nextafter(near[at], np.where(rng.random(len(near)) < 0.5, up, -up))
+        vectors = np.vstack([unit_rows(rng, 40, dim), near, base])
+        bank = bank_from_arrays(tax, vectors, list(rng.integers(0, 13, len(vectors))))
+        Q = base.astype(np.float64) + 1e-9 * rng.standard_normal((3, dim))
+        f32_best = np.argmax(Q.astype(np.float32) @ vectors.T, axis=1)
+        assert f32_best.tolist() != [oracle_order(bank, q, 1)[0] for q in Q]
+        for k in (1, 2, 5, 13):
+            self.check(bank, Q, k)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-30, 1e30, 1e200])
+    def test_query_norm_extremes(self, tax, scale):
+        """Queries far from unit norm, which overflow or underflow if cast to f32 first."""
+        rng = np.random.default_rng(23)
+        n, dim = 80, 9
+        bank = bank_from_arrays(tax, unit_rows(rng, n, dim), list(rng.integers(0, 13, n)))
+        Q = unit_rows(rng, 6, dim).astype(np.float64) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow, underflow or 0/0 on the way
+            for k in (1, 5):
+                self.check(bank, Q, k)
+
+    def test_rows_near_f32_overflow(self, tax):
+        """Entries whose f32 scores can overflow: every entry is rescored, still exact."""
+        rng = np.random.default_rng(25)
+        n, dim = 50, 16
+        signs = rng.choice([-1.0, 1.0], (n, dim)) * rng.uniform(0.2, 1.0, (n, dim))
+        vectors = (signs * 3e38).astype(np.float32)
+        vectors[7] = vectors[3]
+        bank = bank_from_arrays(tax, vectors, list(rng.integers(0, 13, n)))
+        Q = np.vstack([vectors[3], unit_rows(rng, 4, dim)]).astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 2, 6):
+                self.check(bank, Q, k)
+
+    def test_unusable_query_named(self, tax):
+        bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(24), 5, 3), [0] * 5)
+        for bad in (0.0, np.nan, np.inf):
+            Q = np.ones((3, 3))
+            Q[1] = bad
+            with pytest.raises(hierknn.InferenceError, match="query 1: vector is non-finite"):
+                search(bank, Q, 2)
