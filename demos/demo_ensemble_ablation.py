@@ -38,14 +38,13 @@ def main() -> None:
     print(f"{len(banks)} member banks of {len(banks[0])} entries each, "
           f"dim {banks[0].dim} ({time.perf_counter() - t0:.1f}s)")
 
-    queries = []
-    for j in range(args.shifts):
-        queries.extend(
-            apply_shift(base_queries, MODERATE_SHIFT, seed=1000 * (j + 1) + args.seed)
-        )
-    truth = [tax.index_of(3, rec["label"]) for rec in queries]
-    vectors = [np.asarray(rec["vector"], dtype=np.float64) for rec in queries]
-    print(f"{len(queries)} drifted queries "
+    pools = [
+        apply_shift(base_queries, MODERATE_SHIFT, seed=1000 * (j + 1) + args.seed)
+        for j in range(args.shifts)
+    ]
+    truth = [tax.index_of(3, label) for pool in pools for label in pool.labels]
+    vectors = np.concatenate([pool.vectors for pool in pools])
+    print(f"{len(vectors)} drifted queries "
           f"(rotation {MODERATE_SHIFT.rotation_angle}, bias {MODERATE_SHIFT.bias}, "
           f"extra noise {MODERATE_SHIFT.extra_noise})")
 

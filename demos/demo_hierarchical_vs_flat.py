@@ -9,8 +9,6 @@ being outvoted by neighbors in other lineages.
 """
 import argparse
 
-import numpy as np
-
 from hierknn import (
     ConfusionMatrix,
     ShiftSpec,
@@ -44,18 +42,17 @@ def main() -> None:
     truth, flat_preds, hier_preds = [], [], []
     disagreements = 0
     fallback_hits = 0
-    for rec in queries:
-        q = np.asarray(rec["vector"], dtype=np.float64)
+    for qid, label, q in zip(queries.ids, queries.labels, queries.vectors):
         flat_leaf = predict_flat(bank, q, args.k)
         hier = predict_hierarchical(bank, q, args.k, tax)
-        truth.append(tax.index_of(3, rec["label"]))
+        truth.append(tax.index_of(3, label))
         flat_preds.append(flat_leaf)
         hier_preds.append(hier.y3)
         fallback_hits += any(hier.fallback_used)
         if flat_leaf != hier.y3 and disagreements < 5:
             disagreements += 1
             print(
-                f"  query {rec['id']}: truth={rec['label']}"
+                f"  query {qid}: truth={label}"
                 f" flat={tax.name_of(3, flat_leaf)}"
                 f" hier={tax.name_of(3, hier.y3)}"
                 f" (lineage vote: {tax.name_of(1, hier.y1)})"

@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .bank import (
     FeatureBank,
+    QuerySet,
     bank_build,
     bank_build_arrays,
     bank_load,

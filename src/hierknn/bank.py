@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import BankError, BankFormatError, ManifestError
+from .errors import BankError, BankFormatError, ManifestError, TaxonomyError
 from .taxonomy import Taxonomy
 
 EPS_NORM = 1e-12
@@ -100,7 +101,8 @@ class FeatureBank:
         if self.vectors.shape != (n, self.dim):
             raise BankError(f"vectors shape {self.vectors.shape} != ({n}, {self.dim})")
         if len(set(self.ids)) != n:
-            raise BankError("duplicate id in bank")
+            dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
+            raise BankError(f"duplicate id {dup!r}")
         # largest row norm, summed in f64: bounds the rounding of f32 scores
         sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64)
         self.max_norm = float(np.sqrt(sq_norms.max(initial=0.0)))
@@ -125,6 +127,81 @@ class FeatureBank:
 
     def __repr__(self) -> str:
         return f"FeatureBank(dim={self.dim}, entries={len(self)})"
+
+
+class QuerySet:
+    """Ordered, immutable set of unique ids, optional leaf names and an (m, dim) block.
+
+    A query set from synth to search, or a bank manifest before
+    :func:`bank_build`. ``vectors`` keeps its float dtype: float32 from synth,
+    float64 from :meth:`from_records`. Iterating yields manifest records
+    ``{"id", "label", "vector"}`` in that key order (no ``label`` when
+    ``labels`` is None), which :func:`write_manifest` writes as they are.
+    """
+
+    def __init__(self, ids: Iterable[str], vectors, labels: Iterable[str] | None = None):
+        self.ids: tuple[str, ...] = tuple(ids)
+        self.labels: tuple[str, ...] | None = None if labels is None else tuple(labels)
+        self.vectors = np.asarray(vectors)
+        m = len(self.ids)
+        if self.vectors.ndim != 2 or len(self.vectors) != m:
+            raise ValueError(f"vectors shape {self.vectors.shape} != ({m}, dim)")
+        if self.labels is not None and len(self.labels) != m:
+            raise ValueError(f"{len(self.labels)} labels for {m} ids")
+        if len(set(self.ids)) != m:
+            dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
+            raise ManifestError(f"duplicate id {dup!r}")
+
+    @classmethod
+    def from_records(cls, records: Iterable[dict], dim=None, labelled=False) -> "QuerySet":
+        """Parse manifest records (as :func:`read_manifest` yields them) into a set.
+
+        Every vector must be a flat list of ``dim`` numbers (default: as many as
+        the first record's), finite and not all zero; ``labelled`` also requires
+        a leaf ``label``. Errors are ManifestErrors naming the first bad record.
+        """
+        records = list(records)
+        ids = [rec["id"] for rec in records]
+        vectors = _floats([rec.get("vector") for rec in records])
+        if vectors is None or vectors.ndim != 2 or dim not in (None, vectors.shape[1]):
+            for rid, rec in zip(ids, records):  # one at a time, to name the first bad one
+                v = _floats(rec.get("vector"))  # a missing vector is 0-d
+                if v is None or v.ndim != 1:
+                    raise ManifestError(f"record {rid!r}: vector must be a flat list of numbers")
+                dim = len(v) if dim is None else dim
+                if len(v) != dim:
+                    raise ManifestError(
+                        f"dim mismatch: record {rid!r} has dim {len(v)}, expected {dim}"
+                    )
+            vectors = np.empty((0, dim or 0))  # every record passed, so there were none
+        finite = np.isfinite(vectors).all(axis=1)
+        bad = ~finite | ~vectors.any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            why = "zero-norm" if finite[i] else "non-finite"
+            raise ManifestError(f"record {ids[i]!r}: {why} vector")
+        labels = [rec.get("label") for rec in records] if labelled else None
+        for rid, label in zip(ids, labels or ()):
+            if not isinstance(label, str):
+                raise ManifestError(f"record {rid!r}: missing leaf label")
+        return cls(ids, vectors, labels)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[dict]:
+        for i, rid in enumerate(self.ids):
+            rec = {"id": rid} if self.labels is None else {"id": rid, "label": self.labels[i]}
+            rec["vector"] = self.vectors[i].tolist()
+            yield rec
+
+
+def _floats(obj) -> np.ndarray | None:
+    """``obj`` as a float64 array, or None where numpy cannot read it as numbers."""
+    try:
+        return np.array(obj, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def read_manifest(source: TextIO | Iterable[str]) -> Iterator[dict]:
@@ -159,42 +236,23 @@ def write_manifest(records: Iterable[dict], sink: TextIO) -> None:
 def bank_build(records: Iterable[dict], tax: Taxonomy) -> FeatureBank:
     """Build a bank from manifest records, resolving leaf names to full paths.
 
-    Every record needs ``id``, ``label`` (leaf name) and ``vector``; the
-    checked columns go to :func:`bank_build_arrays`, which normalizes them
-    and keeps the input order.
+    The records parse as a labelled :class:`QuerySet` (so every error names
+    the first bad record), whose columns go to :func:`bank_build_arrays`; it
+    normalizes the rows and keeps the input order.
     """
-    ids: list[str] = []
+    try:
+        entries = QuerySet.from_records(records, labelled=True)
+    except ManifestError as exc:
+        raise BankError(str(exc)) from None
+    if not len(entries):
+        raise BankError("empty manifest: cannot infer vector dim")
     leaves: list[int] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-
-    for rec in records:
-        rid = rec["id"]
-        if rid in seen:
-            raise BankError(f"duplicate id {rid!r}")
-        seen.add(rid)
-        label = rec.get("label")
-        if not isinstance(label, str):
-            raise BankError(f"record {rid!r}: missing leaf label")
+    for rid, label in zip(entries.ids, entries.labels):
         try:
             leaves.append(tax.index_of(3, label))
-        except Exception:
+        except TaxonomyError:
             raise BankError(f"record {rid!r}: unknown leaf {label!r}") from None
-        if "vector" not in rec:
-            raise BankError(f"record {rid!r}: missing vector")
-        vec = np.asarray(rec["vector"], dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
-            raise BankError(f"record {rid!r}: vector must be a nonempty flat list")
-        if rows and vec.size != rows[0].size:
-            raise BankError(
-                f"record {rid!r}: dim mismatch (got {vec.size}, expected {rows[0].size})"
-            )
-        ids.append(rid)
-        rows.append(vec)
-
-    if not rows:
-        raise BankError("empty manifest: cannot infer vector dim")
-    return bank_build_arrays(ids, leaves, np.vstack(rows), tax)
+    return bank_build_arrays(entries.ids, leaves, entries.vectors, tax)
 
 
 def bank_build_arrays(ids, leaves, vectors, tax: Taxonomy) -> FeatureBank:
@@ -316,9 +374,6 @@ def bank_merge(a: FeatureBank, b: FeatureBank) -> FeatureBank:
         raise BankError(f"dim mismatch ({a.dim} vs {b.dim})")
     if a.taxonomy_digest != b.taxonomy_digest:
         raise BankError("taxonomy mismatch (digest differs)")
-    overlap = set(a.ids) & set(b.ids)
-    if overlap:
-        raise BankError(f"duplicate id {sorted(overlap)[0]!r}")
     return FeatureBank(
         a.dim,
         a.ids + b.ids,

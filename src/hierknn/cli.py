@@ -15,11 +15,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bank import (
     FeatureBank,
+    QuerySet,
     bank_build,
     bank_load,
     bank_merge,
@@ -27,8 +26,8 @@ from .bank import (
     read_manifest,
     write_manifest,
 )
-from .ensemble import TIE_POLICIES, EnsembleConfig, ablation_grid, combine_members, member_outputs
-from .errors import HierknnError, InferenceError, ManifestError
+from .ensemble import TIE_POLICIES, EnsembleConfig, ablation_grid, run_ensemble
+from .errors import HierknnError, ManifestError
 from .infer import classify_batch
 from .knn import DEFAULT_K
 from .metrics import score_predictions
@@ -92,6 +91,14 @@ def _load_tax(args) -> tuple[Taxonomy, list]:
     return default_taxonomy(), []
 
 
+def _synth_config(args, tax_inputs: list) -> tuple[SynthConfig, list]:
+    """Synthetic dataset config plus the input files it adds to the run manifest."""
+    if args.config:
+        text = Path(args.config).read_text(encoding="utf-8")
+        return parse_synth_config(text), [args.config] + tax_inputs
+    return SynthConfig(), tax_inputs
+
+
 def _load_bank(path, tax: Taxonomy) -> FeatureBank:
     with open(path, "rb") as fh:
         return bank_load(fh, tax)
@@ -107,36 +114,11 @@ def _write_records(records, path) -> None:
         write_manifest(records, fh)
 
 
-def _query_vectors(records: list[dict], dim: int) -> np.ndarray:
-    """Check the query vectors and stack them into one (m, dim) float64 array.
-
-    Errors name the offending record: a missing field, a wrong dim, a
-    non-finite value, or an all-zero vector.
-    """
-    vectors = np.empty((len(records), dim))
-    for i, rec in enumerate(records):
-        if "id" not in rec or "vector" not in rec:
-            raise ManifestError(f"query record {i + 1} needs 'id' and 'vector' fields")
-        v = np.asarray(rec["vector"], dtype=np.float64)
-        if v.ndim != 1:
-            raise ManifestError(f"query {rec['id']!r}: vector must be a flat list")
-        if v.shape[0] != dim:
-            raise InferenceError(
-                f"dim mismatch: query {rec['id']!r} has dim {v.shape[0]}, bank has dim {dim}"
-            )
-        if not np.isfinite(v).all():
-            raise InferenceError(f"query {rec['id']!r}: non-finite vector")
-        if not v.any():
-            raise InferenceError(f"query {rec['id']!r}: zero-norm vector")
-        vectors[i] = v
-    return vectors
-
-
-def _leaf_of_record(rec: dict, what: str, i: int) -> str:
-    for field in ("label", "y3"):
-        if field in rec:
-            return rec[field]
-    raise ManifestError(f"{what} record {i + 1} has neither 'label' nor 'y3'")
+def _leaf_of_record(rec: dict, what: str) -> str:
+    leaf = rec.get("label", rec.get("y3"))
+    if not isinstance(leaf, str):
+        raise ManifestError(f"{what} {rec['id']!r}: 'label' or 'y3' must be a leaf, not {leaf!r}")
+    return leaf
 
 
 def _positive_int(text: str) -> int:
@@ -194,26 +176,24 @@ def cmd_bank_merge(args) -> int:
 def cmd_classify(args) -> int:
     tax, tax_inputs = _load_tax(args)
     bank = _load_bank(args.bank, tax)
-    records = _load_records(args.queries)
-    vectors = _query_vectors(records, bank.dim)
+    queries = QuerySet.from_records(_load_records(args.queries), bank.dim)
 
+    res = classify_batch(bank, queries.vectors, args.k, None if args.flat else tax)
     if args.flat:
-        res = classify_batch(bank, vectors, args.k)
         paths = [tax.path_of(leaf).as_tuple() for leaf in res.flat_leaf.tolist()]
-        fallback = [[False, False, False]] * len(records)
+        fallback = [[False, False, False]] * len(queries)
     else:
-        res = classify_batch(bank, vectors, args.k, tax)
         paths = zip(res.y1.tolist(), res.y2.tolist(), res.y3.tolist())
         fallback = res.fallback.tolist()
     out_records = [
         {
-            "id": rec["id"],
+            "id": qid,
             "y1": tax.name_of(1, y1),
             "y2": tax.name_of(2, y2),
             "y3": tax.name_of(3, y3),
             "fallback": fb,
         }
-        for rec, (y1, y2, y3), fb in zip(records, paths, fallback)
+        for qid, (y1, y2, y3), fb in zip(queries.ids, paths, fallback)
     ]
     _write_records(out_records, args.out)
     _write_run_manifest(args.out, args, [args.bank, args.queries] + tax_inputs)
@@ -226,13 +206,10 @@ def cmd_ensemble(args) -> int:
     bank_paths = args.banks.split(",")
     banks = tuple(_load_bank(p, tax) for p in bank_paths)
     cfg = EnsembleConfig(banks, k=args.k, tie_policy=args.tie_policy)
-    records = _load_records(args.queries)
-    vectors = _query_vectors(records, banks[0].dim)
-
-    members = [member_outputs(b, vectors, cfg.k, tax, flat=args.flat) for b in banks]
-    leaves = combine_members(members, cfg.tie_policy)
+    queries = QuerySet.from_records(_load_records(args.queries), banks[0].dim)
     out_records = [
-        {"id": rec["id"], "label": tax.name_of(3, leaf)} for rec, leaf in zip(records, leaves)
+        {"id": qid, "label": tax.name_of(3, leaf)}
+        for qid, leaf in run_ensemble(cfg, queries, tax, flat=args.flat)
     ]
     _write_records(out_records, args.out)
     _write_run_manifest(args.out, args, bank_paths + [args.queries] + tax_inputs)
@@ -240,15 +217,11 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def _truth_indices(records: list[dict], tax: Taxonomy) -> list[int]:
-    return [tax.index_of(3, _leaf_of_record(rec, "query", i)) for i, rec in enumerate(records)]
-
-
-def _maybe_shift(records, args):
+def _maybe_shift(queries: QuerySet, args) -> QuerySet:
     if args.rot or args.bias or args.noise:
         spec = ShiftSpec(rotation_angle=args.rot, bias=args.bias, extra_noise=args.noise)
-        return apply_shift(records, spec, args.shift_seed)
-    return records
+        return apply_shift(queries, spec, args.shift_seed)
+    return queries
 
 
 def cmd_ablate(args, parser: _Parser) -> int:
@@ -264,25 +237,19 @@ def cmd_ablate(args, parser: _Parser) -> int:
             parser.error(f"--banks count must be >= 1, got {n_members}")
         if args.queries:
             parser.error("--queries only applies when --banks lists bank files")
-        if args.config:
-            cfg = parse_synth_config(Path(args.config).read_text(encoding="utf-8"))
-            inputs = [args.config] + tax_inputs
-        else:
-            cfg = SynthConfig()
-            inputs = tax_inputs
-        banks, query_records = generate_member_banks(cfg, n_members, tax)
-        query_records = _maybe_shift(query_records, args)
+        cfg, inputs = _synth_config(args, tax_inputs)
+        banks, queries = generate_member_banks(cfg, n_members, tax)
+        queries = _maybe_shift(queries, args)
     else:
         if not args.queries:
             parser.error("--queries is required when --banks lists bank files")
         bank_paths = args.banks.split(",")
         banks = [_load_bank(p, tax) for p in bank_paths]
-        query_records = _load_records(args.queries)
+        queries = QuerySet.from_records(_load_records(args.queries), banks[0].dim, labelled=True)
         inputs = bank_paths + [args.queries] + tax_inputs
 
-    truth = _truth_indices(query_records, tax)
-    vectors = _query_vectors(query_records, banks[0].dim)
-    rows = ablation_grid(banks, vectors, truth, args.k, tax, policy=args.tie_policy)
+    truth = [tax.index_of(3, label) for label in queries.labels]
+    rows = ablation_grid(banks, queries.vectors, truth, args.k, tax, policy=args.tie_policy)
 
     lines = ["members,without_hierarchy_mf1,with_hierarchy_mf1"]
     for row in rows:
@@ -295,22 +262,16 @@ def cmd_ablate(args, parser: _Parser) -> int:
 
 def cmd_evaluate(args) -> int:
     tax, tax_inputs = _load_tax(args)
-    pred_records = _load_records(args.preds)
-    truth_records = _load_records(args.truth)
-
     by_id = {}
-    for i, rec in enumerate(pred_records):
-        if "id" not in rec:
-            raise ManifestError(f"prediction record {i + 1} has no 'id'")
-        by_id[rec["id"]] = tax.index_of(3, _leaf_of_record(rec, "prediction", i))
-    truth = []
-    preds = []
-    for i, rec in enumerate(truth_records):
-        if "id" not in rec:
-            raise ManifestError(f"truth record {i + 1} has no 'id'")
+    for rec in _load_records(args.preds):
+        if rec["id"] in by_id:
+            raise ManifestError(f"duplicate prediction id {rec['id']!r}")
+        by_id[rec["id"]] = tax.index_of(3, _leaf_of_record(rec, "prediction"))
+    truth, preds = [], []
+    for rec in _load_records(args.truth):
         if rec["id"] not in by_id:
             raise ManifestError(f"no prediction for id {rec['id']!r}")
-        truth.append(tax.index_of(3, _leaf_of_record(rec, "truth", i)))
+        truth.append(tax.index_of(3, _leaf_of_record(rec, "truth")))
         preds.append(by_id[rec["id"]])
 
     cm, mf1, report = score_predictions(truth, preds, tax.leaf_count)
@@ -339,20 +300,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     tax, tax_inputs = _load_tax(args)
-    if args.config:
-        cfg = parse_synth_config(Path(args.config).read_text(encoding="utf-8"))
-        inputs = [args.config] + tax_inputs
-    else:
-        cfg = SynthConfig()
-        inputs = tax_inputs
-    bank, query_records = generate(cfg, tax)
-    query_records = _maybe_shift(query_records, args)
+    cfg, inputs = _synth_config(args, tax_inputs)
+    bank, queries = generate(cfg, tax)
+    queries = _maybe_shift(queries, args)
 
     with open(args.out, "wb") as fh:
         bank_save(bank, fh)
-    _write_records(query_records, args.queries)
+    _write_records(queries, args.queries)
     _write_run_manifest(args.out, args, inputs)
-    print(f"wrote {args.out} ({len(bank)} entries) and {args.queries} ({len(query_records)} queries)")
+    print(f"wrote {args.out} ({len(bank)} entries) and {args.queries} ({len(queries)} queries)")
     return 0
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import FeatureBank
+from .bank import FeatureBank, QuerySet
 from .errors import InferenceError
 from .infer import BatchPrediction, _vote, classify_batch
 from .knn import DEFAULT_K
@@ -113,19 +113,14 @@ def combine_members(members: list[MemberOutputs], policy: str = "similarity-marg
     return leaves[np.arange(n), winners].tolist()
 
 
-def run_ensemble(cfg: EnsembleConfig, queries, tax: Taxonomy, flat: bool = False) -> list[tuple[str, int]]:
-    """Classify manifest records with every member, majority-vote the leaves.
-
-    ``queries`` is an iterable of manifest records (``id`` + ``vector``,
-    already unit-norm). Returns (id, leaf index) per query in input order.
-    """
-    records = list(queries)
-    vectors = np.asarray([rec["vector"] for rec in records], dtype=np.float64)
+def run_ensemble(
+    cfg: EnsembleConfig, queries: QuerySet, tax: Taxonomy, flat: bool = False
+) -> list[tuple[str, int]]:
+    """Classify a query set with every member; (id, voted leaf index) per query, in order."""
     members = [
-        member_outputs(bank, vectors, cfg.k, tax, flat=flat) for bank in cfg.member_banks
+        member_outputs(bank, queries.vectors, cfg.k, tax, flat=flat) for bank in cfg.member_banks
     ]
-    winners = combine_members(members, cfg.tie_policy)
-    return [(rec["id"], leaf) for rec, leaf in zip(records, winners)]
+    return list(zip(queries.ids, combine_members(members, cfg.tie_policy)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,7 @@ def ablation_grid(
     the same as scoring each member once.
     """
     truth = [int(t) for t in truth_leaves]
-    vectors = np.asarray(list(query_vectors), dtype=np.float64)
+    vectors = np.asarray(query_vectors, dtype=np.float64)
     flat_members, hier_members = [], []
     for bank in banks:
         res = classify_batch(bank, vectors, k, tax)

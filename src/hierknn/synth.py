@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import FeatureBank, bank_build_arrays, normalize_rows
+from .bank import FeatureBank, QuerySet, bank_build_arrays, normalize_rows
 from .errors import SynthError
 from .taxonomy import Taxonomy
 
@@ -230,17 +230,13 @@ def _ids(prefix: str, tax: Taxonomy, counts) -> list[str]:
     return [f"{prefix}{name}-{i}" for name, n in zip(tax.leaf_names, counts) for i in range(n)]
 
 
-def _query_records(tax: Taxonomy, counts, vectors: np.ndarray) -> list[dict]:
-    """Manifest records for a query set laid out leaf by leaf."""
-    labels = np.repeat(tax.leaf_names, counts).tolist()
-    return [
-        {"id": rid, "label": label, "vector": vec}
-        for rid, label, vec in zip(_ids("q-", tax, counts), labels, vectors.tolist())
-    ]
+def _query_set(tax: Taxonomy, counts, vectors: np.ndarray) -> QuerySet:
+    """A labelled query set laid out leaf by leaf."""
+    return QuerySet(_ids("q-", tax, counts), vectors, np.repeat(tax.leaf_names, counts).tolist())
 
 
-def generate(cfg: SynthConfig, tax: Taxonomy) -> tuple[FeatureBank, list[dict]]:
-    """Deterministic bank plus held-out query records, split 80/20 per leaf.
+def generate(cfg: SynthConfig, tax: Taxonomy) -> tuple[FeatureBank, QuerySet]:
+    """Deterministic bank plus a held-out labelled query set, split 80/20 per leaf.
 
     The bank share is floor(0.8 * count); a leaf may have count 0 (absent
     entirely) but count 1 cannot be split and is an error.
@@ -256,7 +252,7 @@ def generate(cfg: SynthConfig, tax: Taxonomy) -> tuple[FeatureBank, list[dict]]:
     samples = _draw(rng, means, n_bank + n_query, cfg.noise_sigma)
     in_bank = np.concatenate([np.arange(b + q) < b for b, q in zip(n_bank, n_query)])
     bank = bank_build_arrays(_ids("", tax, n_bank), leaves[in_bank], samples[in_bank], tax)
-    return bank, _query_records(tax, n_query, samples[~in_bank])
+    return bank, _query_set(tax, n_query, samples[~in_bank])
 
 
 # Each member bank stands in for a separate model export of the same data:
@@ -273,7 +269,7 @@ _MEMBER_EXPORT_BIAS = 0.0
 
 def generate_member_banks(
     cfg: SynthConfig, n_members: int, tax: Taxonomy
-) -> tuple[list[FeatureBank], list[dict]]:
+) -> tuple[list[FeatureBank], QuerySet]:
     """Several banks over one shared cluster geometry, plus one query set.
 
     Each member redraws its sample noise independently and is then passed
@@ -290,7 +286,7 @@ def generate_member_banks(
     means = _leaf_means(cfg, tax, seeds[0])
 
     query_rng = np.random.default_rng(seeds[1])
-    queries = _query_records(tax, n_query, _draw(query_rng, means, n_query, cfg.noise_sigma))
+    queries = _query_set(tax, n_query, _draw(query_rng, means, n_query, cfg.noise_sigma))
 
     leaves = np.repeat(np.arange(tax.leaf_count), n_bank)
     banks: list[FeatureBank] = []
@@ -311,20 +307,15 @@ def generate_member_banks(
     return banks, queries
 
 
-def apply_shift(records: list[dict], spec: ShiftSpec, seed: int) -> list[dict]:
-    """Shifted copy of a query manifest; ids, labels, and order unchanged.
+def apply_shift(queries: QuerySet, spec: ShiftSpec, seed: int) -> QuerySet:
+    """Shifted copy of a query set; ids, labels, and order unchanged.
 
     Each vector is rotated by the given angle inside one seeded random
     2-plane, offset by a seeded random bias direction, perturbed with
-    Gaussian noise, and re-normalized.
+    Gaussian noise, and re-normalized to float32.
     """
-    if not records:
-        return []
-    dim = len(records[0]["vector"])
-    bad = next((rec for rec in records if len(rec["vector"]) != dim), None)
-    if bad is not None:
-        raise SynthError(f"record {bad.get('id')!r} has dim {len(bad['vector'])}, expected {dim}")
-    x = np.asarray([rec["vector"] for rec in records], dtype=np.float64)
+    x = queries.vectors.astype(np.float64)
+    dim = x.shape[1]
     rng = np.random.default_rng(seed)
     plane = _draw_plane(rng, dim)
     bias_vec = spec.bias * _unit(rng, dim)
@@ -332,7 +323,4 @@ def apply_shift(records: list[dict], spec: ShiftSpec, seed: int) -> list[dict]:
     # plane are one dot product each, summed as for a single record
     rotated = _rotate_in_plane(x[:, None, :], plane, spec.rotation_angle)[:, 0]
     shifted = rotated + bias_vec + spec.extra_noise * rng.standard_normal(x.shape)
-    return [
-        {"id": rec["id"], "label": rec["label"], "vector": vec}
-        for rec, vec in zip(records, normalize_rows(shifted).tolist())
-    ]
+    return QuerySet(queries.ids, normalize_rows(shifted), queries.labels)

@@ -11,6 +11,7 @@ from hierknn import (
     BankFormatError,
     FeatureBank,
     ManifestError,
+    QuerySet,
     bank_build,
     bank_build_arrays,
     bank_load,
@@ -220,6 +221,60 @@ class TestBuild:
     def test_empty_manifest_rejected(self, tax):
         with pytest.raises(BankError, match="empty manifest"):
             bank_build([], tax)
+
+    def test_non_numeric_vector_named(self, tax):
+        recs = records_for(tax, ["BL", "LY"])
+        recs[1]["vector"] = {"a": 1}
+        with pytest.raises(BankError, match="record 'r1': vector must be a flat list"):
+            bank_build(recs, tax)
+
+
+class TestQuerySet:
+    def test_duplicate_id_named(self):
+        with pytest.raises(ManifestError, match="duplicate id 'b'"):
+            QuerySet(["a", "b", "c", "b"], np.ones((4, 2)))
+
+    def test_iterates_as_manifest_records(self):
+        vectors = np.array([[1.0, 0.5], [0.25, -1.0]], dtype=np.float32)
+        labelled = QuerySet(["a", "b"], vectors, ["BL", "LY"])
+        assert [list(rec) for rec in labelled] == [["id", "label", "vector"]] * 2
+        assert list(labelled) == [
+            {"id": "a", "label": "BL", "vector": [1.0, 0.5]},
+            {"id": "b", "label": "LY", "vector": [0.25, -1.0]},
+        ]
+        assert list(QuerySet(["a"], vectors[:1])) == [{"id": "a", "vector": [1.0, 0.5]}]
+
+    def test_from_records_stacks_float64(self):
+        recs = [{"id": "a", "label": "BL", "vector": [1, 0.1]},
+                {"id": "b", "label": "LY", "vector": [0.2, 3]}]
+        queries = QuerySet.from_records(recs, 2, labelled=True)
+        assert queries.ids == ("a", "b") and queries.labels == ("BL", "LY")
+        assert queries.vectors.dtype == np.float64
+        assert queries.vectors.tolist() == [[1.0, 0.1], [0.2, 3.0]]
+        assert QuerySet.from_records(recs, 2).labels is None
+        assert QuerySet.from_records([], 5).vectors.shape == (0, 5)
+
+    @pytest.mark.parametrize("vector, why", [
+        ({"a": 1}, "flat list"),
+        ("abc", "flat list"),
+        (["x", 1.0], "flat list"),
+        ([[1.0], [2.0]], "flat list"),
+        ([10 ** 400, 1.0], "flat list"),
+        (None, "flat list"),
+        ([1.0, 0.0, 0.0], "dim mismatch: record 'bad' has dim 3, expected 2"),
+        ([float("nan"), 1.0], "non-finite"),
+        ([0.0, 0.0], "zero-norm"),
+    ])
+    def test_bad_vector_named(self, vector, why):
+        recs = [{"id": "ok", "vector": [1.0, 0.0]}, {"id": "bad", "vector": vector}]
+        with pytest.raises(ManifestError, match=why) as info:
+            QuerySet.from_records(recs, 2)
+        assert "'bad'" in str(info.value)
+
+    def test_missing_label_named(self):
+        recs = [{"id": "ok", "label": "BL", "vector": [1.0]}, {"id": "bad", "vector": [1.0]}]
+        with pytest.raises(ManifestError, match="record 'bad': missing leaf label"):
+            QuerySet.from_records(recs, 1, labelled=True)
 
 
 class TestManifestIO:

@@ -247,6 +247,9 @@ class TestBadInputs:
         ([float("nan")] * 8, "all-nan"),
         ([0.0] * 8, "all-zero"),
         ([1.0] * 7 + [float("inf")], "has-inf"),
+        ({"a": 1}, "dict-vector"),
+        ("abc", "string-vector"),
+        (["x"] + [1.0] * 7, "string-entry"),
     ])
     def test_unusable_query_vectors(self, tmp_path, vector, qid):
         make_synth(tmp_path)
@@ -261,6 +264,31 @@ class TestBadInputs:
         ):
             proc = run([*args, "--queries", "bad.jsonl", "--out", out], tmp_path)
             self.assert_data_error(proc, repr(qid), tmp_path / out)
+
+    def classify_then_edit(self, tmp_path, edit):
+        """Predictions for the synth queries with edit(predictions) applied."""
+        make_synth(tmp_path)
+        proc = run(["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl",
+                    "--out", "p.jsonl"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        preds = [json.loads(l) for l in (tmp_path / "p.jsonl").read_text().splitlines()]
+        lines = [json.dumps(p) for p in edit(preds)]
+        (tmp_path / "p.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return preds
+
+    def test_repeated_prediction_id(self, tmp_path):
+        """A prediction id that repeats is rejected, not silently overwritten."""
+        preds = self.classify_then_edit(tmp_path, lambda p: p + [dict(p[0], y3="BL")])
+        proc = run(["evaluate", "--preds", "p.jsonl", "--truth", "q.jsonl",
+                    "--report", "r.json"], tmp_path)
+        self.assert_data_error(proc, f"duplicate prediction id {preds[0]['id']!r}",
+                               tmp_path / "r.json")
+
+    def test_non_string_leaf_in_predictions(self, tmp_path):
+        preds = self.classify_then_edit(tmp_path, lambda p: [dict(p[0], y3=["BL"])] + p[1:])
+        proc = run(["evaluate", "--preds", "p.jsonl", "--truth", "q.jsonl",
+                    "--report", "r.json"], tmp_path)
+        self.assert_data_error(proc, repr(preds[0]["id"]), tmp_path / "r.json")
 
     def test_oversized_bank_header(self, tmp_path):
         make_synth(tmp_path)

@@ -8,6 +8,7 @@ from hierknn import (
     EnsembleConfig,
     FeatureBank,
     InferenceError,
+    QuerySet,
     ablation_grid,
     classify_batch,
     combine_members,
@@ -201,26 +202,24 @@ class TestConfig:
 
 class TestRunEnsemble:
     def queries(self, rng, n, dim):
-        return [
-            {"id": f"q{i}", "vector": [float(v) for v in unit_rows(rng, 1, dim)[0]]}
-            for i in range(n)
-        ]
+        vectors = [unit_rows(rng, 1, dim)[0] for _ in range(n)]
+        return QuerySet([f"q{i}" for i in range(n)], np.asarray(vectors, dtype=np.float64))
 
     def test_single_member_matches_direct_calls(self, tax):
         rng = np.random.default_rng(10)
         bank = bank_from_arrays(tax, unit_rows(rng, 60, 6), list(rng.integers(0, 13, 60)))
-        recs = self.queries(rng, 12, 6)
-        preds = run_ensemble(EnsembleConfig((bank,), k=5), recs, tax)
-        assert [qid for qid, _ in preds] == [r["id"] for r in recs]
-        for rec, (_, leaf) in zip(recs, preds):
-            assert leaf == predict_hierarchical(bank, np.asarray(rec["vector"]), 5, tax).y3
+        queries = self.queries(rng, 12, 6)
+        preds = run_ensemble(EnsembleConfig((bank,), k=5), queries, tax)
+        assert tuple(qid for qid, _ in preds) == queries.ids
+        for q, (_, leaf) in zip(queries.vectors, preds):
+            assert leaf == predict_hierarchical(bank, q, 5, tax).y3
 
     def test_identical_members_match_single(self, tax):
         rng = np.random.default_rng(11)
         bank = bank_from_arrays(tax, unit_rows(rng, 60, 6), list(rng.integers(0, 13, 60)))
-        recs = self.queries(rng, 10, 6)
-        one = run_ensemble(EnsembleConfig((bank,), k=7), recs, tax)
-        three = run_ensemble(EnsembleConfig((bank,) * 3, k=7), recs, tax)
+        queries = self.queries(rng, 10, 6)
+        one = run_ensemble(EnsembleConfig((bank,), k=7), queries, tax)
+        three = run_ensemble(EnsembleConfig((bank,) * 3, k=7), queries, tax)
         assert one == three
 
 
@@ -263,9 +262,9 @@ class TestSharedInference:
         assert q.astype(np.float32)[0] == q.astype(np.float32)[1]
         assert predict_hierarchical(bank, q, 1, tax).y3 == ly
         assert predict_flat(bank, q, 1) == ly
-        recs = [{"id": "near-tie", "vector": q.tolist()}]
+        queries = QuerySet(["near-tie"], q[None])
         for flat in (False, True):
-            got = run_ensemble(EnsembleConfig((bank,), k=1), recs, tax, flat=flat)
+            got = run_ensemble(EnsembleConfig((bank,), k=1), queries, tax, flat=flat)
             assert got == [("near-tie", ly)]
 
     def test_margins_match_vote_margin(self, tax):

@@ -1,6 +1,7 @@
 """Synthetic dataset generation, config parsing, and domain-shift transforms."""
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hierknn import (
     MODERATE_SHIFT,
     ConfusionMatrix,
+    QuerySet,
     ShiftSpec,
     SynthConfig,
     SynthError,
@@ -18,6 +20,8 @@ from hierknn import (
     macro_f1,
     parse_synth_config,
     predict_flat,
+    read_manifest,
+    write_manifest,
 )
 
 SMALL = SynthConfig(
@@ -37,8 +41,12 @@ def counts_with(tax, **named) -> tuple:
     return tuple(counts)
 
 
-def vectors_of(records) -> np.ndarray:
-    return np.asarray([r["vector"] for r in records], dtype=np.float64)
+def assert_same_set(a: QuerySet, b: QuerySet) -> None:
+    """Same ids, labels and vector bytes, in the same order."""
+    assert a.ids == b.ids
+    assert a.labels == b.labels
+    assert a.vectors.dtype == b.vectors.dtype
+    assert a.vectors.tobytes() == b.vectors.tobytes()
 
 
 class TestConfig:
@@ -111,7 +119,7 @@ class TestGenerate:
         bank_b, queries_b = generate(SMALL, tax)
         assert bank_a.ids == bank_b.ids
         assert bank_a.vectors.tobytes() == bank_b.vectors.tobytes()
-        assert queries_a == queries_b
+        assert_same_set(queries_a, queries_b)
 
     def test_different_seed_differs(self, tax):
         bank_a, _ = generate(SMALL, tax)
@@ -126,7 +134,7 @@ class TestGenerate:
 
     def test_all_vectors_unit_norm(self, tax):
         bank, queries = generate(SMALL, tax)
-        for vecs in (bank.vectors.astype(np.float64), vectors_of(queries)):
+        for vecs in (bank.vectors.astype(np.float64), queries.vectors.astype(np.float64)):
             np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, atol=1e-6)
 
     def test_wide_separation_makes_nearest_neighbor_trivial(self, tax):
@@ -172,7 +180,7 @@ class TestMemberBanks:
         banks_b, queries_b = generate_member_banks(SMALL, 2, tax)
         for a, b in zip(banks_a, banks_b):
             assert a.vectors.tobytes() == b.vectors.tobytes()
-        assert queries_a == queries_b
+        assert_same_set(queries_a, queries_b)
 
     def test_member_vectors_unit_norm(self, tax):
         banks, _ = generate_member_banks(SMALL, 2, tax)
@@ -189,15 +197,13 @@ class TestApplyShift:
     def test_identity_spec_preserves_vectors(self, tax):
         _, queries = generate(SMALL, tax)
         out = apply_shift(queries, ShiftSpec(0.0, 0.0, 0.0), seed=9)
-        np.testing.assert_allclose(
-            vectors_of(out), vectors_of(queries), atol=1e-7
-        )
+        np.testing.assert_allclose(out.vectors, queries.vectors, atol=1e-7)
 
     def test_labels_ids_and_order_preserved(self, tax):
         _, queries = generate(SMALL, tax)
         out = apply_shift(queries, MODERATE_SHIFT, seed=4)
-        assert [r["id"] for r in out] == [r["id"] for r in queries]
-        assert [r["label"] for r in out] == [r["label"] for r in queries]
+        assert out.ids == queries.ids
+        assert out.labels == queries.labels
 
     def test_half_turn_applied_twice_is_identity(self, tax):
         """Rotating by pi in the same seeded plane twice returns the input."""
@@ -205,15 +211,13 @@ class TestApplyShift:
         spec = ShiftSpec(rotation_angle=math.pi, bias=0.0, extra_noise=0.0)
         once = apply_shift(queries, spec, seed=7)
         twice = apply_shift(once, spec, seed=7)
-        np.testing.assert_allclose(
-            vectors_of(twice), vectors_of(queries), atol=1e-6
-        )
+        np.testing.assert_allclose(twice.vectors, queries.vectors, atol=1e-6)
 
     def test_shifted_vectors_stay_unit_norm(self, tax):
         _, queries = generate(SMALL, tax)
         out = apply_shift(queries, MODERATE_SHIFT, seed=2)
         np.testing.assert_allclose(
-            np.linalg.norm(vectors_of(out), axis=1), 1.0, atol=1e-6
+            np.linalg.norm(out.vectors.astype(np.float64), axis=1), 1.0, atol=1e-6
         )
 
     def test_moderate_shift_degrades_flat_retrieval(self, tax):
@@ -233,10 +237,10 @@ class TestApplyShift:
         assert degraded < clean
 
     @staticmethod
-    def reference_shift(records, spec, seed):
+    def reference_shift(queries, spec, seed):
         """The shift applied one record at a time, each vector a (1, dim) row."""
         rng = np.random.default_rng(seed)
-        dim = len(records[0]["vector"])
+        dim = queries.vectors.shape[1]
         q, r = np.linalg.qr(rng.standard_normal((dim, 2)))
         plane = q * np.sign(np.diag(r))
         u, v = plane[:, 0], plane[:, 1]
@@ -244,32 +248,39 @@ class TestApplyShift:
         bias = spec.bias * (b / np.linalg.norm(b))
         cos_t, sin_t = np.cos(spec.rotation_angle), np.sin(spec.rotation_angle)
         out = []
-        for rec in records:
-            x = np.asarray(rec["vector"], dtype=np.float64)[None, :]
+        for vec in queries.vectors:
+            x = np.asarray(vec, dtype=np.float64)[None, :]
             a, c = x @ u, x @ v
             rotated = (x + (cos_t - 1.0) * (np.outer(a, u) + np.outer(c, v))
                        + sin_t * (np.outer(a, v) - np.outer(c, u)))[0]
             shifted = rotated + bias + spec.extra_noise * rng.standard_normal(dim)
             unit = (shifted / np.sqrt(shifted.dot(shifted))).astype(np.float32)
-            out.append({"id": rec["id"], "label": rec["label"], "vector": unit.tolist()})
-        return out
+            out.append(unit)
+        return QuerySet(queries.ids, np.array(out), queries.labels)
 
     @pytest.mark.parametrize("dim", [4, 5, 8, 10, 17, 33, 64, 129])
     def test_equals_one_record_at_a_time(self, tax, dim):
         """The batched pass gives the per-record result bit for bit."""
         _, queries = generate(SynthConfig(dim=dim, seed=dim), tax)
         for spec, seed in ((MODERATE_SHIFT, 3), (ShiftSpec(1.1, 0.4, 0.0), 8)):
-            assert apply_shift(queries, spec, seed) == self.reference_shift(queries, spec, seed)
+            expected = self.reference_shift(queries, spec, seed)
+            assert_same_set(apply_shift(queries, spec, seed), expected)
 
-    def test_empty_manifest(self):
-        assert apply_shift([], MODERATE_SHIFT, seed=1) == []
+    def test_empty_set(self):
+        empty = QuerySet((), np.zeros((0, 8), dtype=np.float32), ())
+        assert_same_set(apply_shift(empty, MODERATE_SHIFT, seed=1), empty)
 
-    def test_mixed_dims_rejected(self, tax):
-        _, queries = generate(SMALL, tax)
-        queries = list(queries)
-        queries[1] = dict(queries[1], vector=queries[1]["vector"] + [0.0])
-        with pytest.raises(SynthError, match="dim"):
-            apply_shift(queries, MODERATE_SHIFT, seed=1)
+    def test_manifest_round_trip(self, tax):
+        """A shifted set written as JSON Lines parses back to the same ids,
+        labels and vector values: every float32 entry survives as text."""
+        _, queries = generate(SynthConfig(dim=33, seed=2), tax)
+        shifted = apply_shift(queries, MODERATE_SHIFT, seed=5)
+        buf = io.StringIO()
+        write_manifest(shifted, buf)
+        parsed = QuerySet.from_records(read_manifest(io.StringIO(buf.getvalue())), 33, True)
+        assert parsed.ids == shifted.ids
+        assert parsed.labels == shifted.labels
+        assert parsed.vectors.tobytes() == shifted.vectors.astype(np.float64).tobytes()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="finite"):
