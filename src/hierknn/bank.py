@@ -23,11 +23,12 @@ from __future__ import annotations
 import json
 import struct
 from collections import Counter
-from typing import BinaryIO, Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BankError, BankFormatError, ManifestError, TaxonomyError
+from .errors import BankError, BankFormatError, ManifestError
 from .taxonomy import Taxonomy
 
 EPS_NORM = 1e-12
@@ -233,25 +234,30 @@ def write_manifest(records: Iterable[dict], sink: TextIO) -> None:
         sink.write("\n")
 
 
+def leaf_indices(ids: Sequence[str], labels: Sequence, tax: Taxonomy) -> list[int]:
+    """Leaf index of each label; a ManifestError names the first record whose label is not one."""
+    leaves = tax.names(3)
+    for rid, label in zip(ids, labels):
+        if label not in leaves:
+            raise ManifestError(f"record {rid!r}: unknown leaf {label!r}")
+    return [tax.index_of(3, label) for label in labels]
+
+
 def bank_build(records: Iterable[dict], tax: Taxonomy) -> FeatureBank:
     """Build a bank from manifest records, resolving leaf names to full paths.
 
-    The records parse as a labelled :class:`QuerySet` (so every error names
-    the first bad record), whose columns go to :func:`bank_build_arrays`; it
-    normalizes the rows and keeps the input order.
+    The records parse as a labelled :class:`QuerySet` and their labels resolve
+    through :func:`leaf_indices`, so every error names the first bad record;
+    the columns go to :func:`bank_build_arrays`, which normalizes the rows and
+    keeps the input order.
     """
     try:
         entries = QuerySet.from_records(records, labelled=True)
+        leaves = leaf_indices(entries.ids, entries.labels, tax)
     except ManifestError as exc:
         raise BankError(str(exc)) from None
     if not len(entries):
         raise BankError("empty manifest: cannot infer vector dim")
-    leaves: list[int] = []
-    for rid, label in zip(entries.ids, entries.labels):
-        try:
-            leaves.append(tax.index_of(3, label))
-        except TaxonomyError:
-            raise BankError(f"record {rid!r}: unknown leaf {label!r}") from None
     return bank_build_arrays(entries.ids, leaves, entries.vectors, tax)
 
 
@@ -331,9 +337,8 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
             f"{need} bytes, but {len(data) - _HEADER.size} remain"
         )
 
-    view = memoryview(data)
     ids: list[str] = []
-    blocks = []
+    starts: list[int] = []  # where each entry's labels and vector begin
     pos = _HEADER.size
     for i in range(count):
         (id_len,) = _U16.unpack_from(data, pos)
@@ -346,13 +351,17 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
             ids.append(data[start:start + id_len].decode("utf-8"))
         except UnicodeDecodeError:
             raise BankFormatError(f"entry {i}: id at byte {start} is not valid UTF-8") from None
-        blocks.append(view[pos - block:pos])
+        starts.append(pos - block)
     if spare:
         raise BankFormatError(f"trailing bytes after final entry (byte {pos})")
-    rows = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(count, block)
-    del data, view, blocks  # the joined blocks alone stay while the columns are copied
-    labels = rows[:, :_LABELS.size].copy().view("<u2")
-    vectors = rows[:, _LABELS.size:].copy().view("<f4")
+    if count:  # a window wider than the stream is an error even with no entries to take
+        stream = np.frombuffer(data, dtype=np.uint8)
+        at = np.array(starts, dtype=np.intp)
+        labels = sliding_window_view(stream, _LABELS.size)[at].view("<u2")
+        vectors = sliding_window_view(stream, 4 * dim)[at + _LABELS.size].view("<f4")
+    else:
+        labels = np.empty((0, 3), dtype="<u2")
+        vectors = np.empty((0, dim), dtype="<f4")
     over = labels >= [tax.node_count(l) for l in (1, 2, 3)]
     if over.any():
         i, level = divmod(int(np.argmax(over)), 3)

@@ -2,18 +2,18 @@
 ablation grids, evaluation, synthetic data, toy training, gradient checks.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Every command that
-writes files also writes a run manifest ``<out>.manifest.json`` recording
-the command, its flags, sha256 digests of the input files, and the tool
-version. Manifests carry no timestamps, so identical inputs and seeds give
-byte-identical outputs.
+writes files also writes a run manifest beside its first output,
+``<out>.manifest.json``, recording the command, its flags, sha256 digests
+of the files it read, and the tool version. Manifests carry no timestamps,
+so identical inputs and seeds give byte-identical outputs.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .bank import (
@@ -23,6 +23,7 @@ from .bank import (
     bank_load,
     bank_merge,
     bank_save,
+    leaf_indices,
     read_manifest,
     write_manifest,
 )
@@ -64,10 +65,53 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+class _Files:
+    """Every file a command opens: each file read is a run input, each written an output."""
+
+    def __init__(self):
+        self.inputs: list[str] = []
+        self.outputs: list[str] = []
+
+    @contextlib.contextmanager
+    def open(self, path, mode="r"):
+        """``open(path, mode)``, UTF-8 in text mode; text that does not decode names the file."""
+        (self.outputs if "w" in mode else self.inputs).append(path)
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            try:
+                yield fh
+            except UnicodeDecodeError:
+                raise HierknnError(f"{path}: not UTF-8 text") from None
+
+    def read_text(self, path) -> str:
+        with self.open(path) as fh:
+            return fh.read()
+
+    def read_bank(self, path, tax: Taxonomy) -> FeatureBank:
+        with self.open(path, "rb") as fh:
+            return bank_load(fh, tax)
+
+    def read_records(self, path) -> list[dict]:
+        with self.open(path) as fh:
+            return list(read_manifest(fh))
+
+    def write_text(self, path, text: str) -> None:
+        """Write ``text`` and a final newline."""
+        with self.open(path, "w") as fh:
+            fh.write(text + "\n")
+
+    def write_bank(self, path, bank: FeatureBank) -> None:
+        with self.open(path, "wb") as fh:
+            bank_save(bank, fh)
+
+    def write_records(self, path, records) -> None:
+        with self.open(path, "w") as fh:
+            write_manifest(records, fh)
+
+
 _INTERNAL_ARGS = ("func", "command", "bank_command", "taxonomy_command")
 
 
-def _write_run_manifest(primary_out, args, inputs) -> None:
+def _write_run_manifest(files: _Files, args) -> None:
     flags = {}
     for key, value in vars(args).items():
         if key in _INTERNAL_ARGS or value is None:
@@ -76,49 +120,25 @@ def _write_run_manifest(primary_out, args, inputs) -> None:
     doc = {
         "command": args.command if args.command != "bank" else f"bank {args.bank_command}",
         "flags": flags,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): _sha256(p) for p in files.inputs},
         "version": __version__,
     }
-    path = Path(str(primary_out) + ".manifest.json")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path = f"{files.outputs[0]}.manifest.json"
+    files.write_text(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _load_tax(args) -> tuple[Taxonomy, list]:
-    """Taxonomy plus the list of input files it adds to the run manifest."""
-    if getattr(args, "taxonomy", None):
-        text = Path(args.taxonomy).read_text(encoding="utf-8")
-        return load_taxonomy(text), [args.taxonomy]
-    return default_taxonomy(), []
+def _load_tax(args, files: _Files) -> Taxonomy:
+    return load_taxonomy(files.read_text(args.taxonomy)) if args.taxonomy else default_taxonomy()
 
 
-def _synth_config(args, tax_inputs: list) -> tuple[SynthConfig, list]:
-    """Synthetic dataset config plus the input files it adds to the run manifest."""
-    if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
-        return parse_synth_config(text), [args.config] + tax_inputs
-    return SynthConfig(), tax_inputs
+def _synth_config(args, files: _Files) -> SynthConfig:
+    return parse_synth_config(files.read_text(args.config)) if args.config else SynthConfig()
 
 
-def _load_bank(path, tax: Taxonomy) -> FeatureBank:
-    with open(path, "rb") as fh:
-        return bank_load(fh, tax)
-
-
-def _load_records(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return list(read_manifest(fh))
-
-
-def _write_records(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_manifest(records, fh)
-
-
-def _leaf_of_record(rec: dict, what: str) -> str:
-    leaf = rec.get("label", rec.get("y3"))
-    if not isinstance(leaf, str):
-        raise ManifestError(f"{what} {rec['id']!r}: 'label' or 'y3' must be a leaf, not {leaf!r}")
-    return leaf
+def _record_leaves(records: list[dict], tax: Taxonomy) -> list[int]:
+    """Leaf index of each prediction or truth record, from its 'label', else its 'y3'."""
+    labels = [rec.get("label", rec.get("y3")) for rec in records]
+    return leaf_indices([rec["id"] for rec in records], labels, tax)
 
 
 def _positive_int(text: str) -> int:
@@ -131,52 +151,44 @@ def _positive_int(text: str) -> int:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_taxonomy_validate(args) -> int:
-    tax, _ = _load_tax(args)
+def cmd_taxonomy_validate(args, files: _Files) -> None:
+    tax = _load_tax(args, files)
     print(f"digest: {tax.digest.hex()}")
     for level in (1, 2, 3):
         names = ", ".join(tax.names(level))
         print(f"level {level}: {tax.node_count(level)} nodes ({names})")
     print("ok")
-    return 0
 
 
-def cmd_bank_build(args) -> int:
-    tax, tax_inputs = _load_tax(args)
-    bank = bank_build(_load_records(args.manifest), tax)
-    with open(args.out, "wb") as fh:
-        bank_save(bank, fh)
-    _write_run_manifest(args.out, args, [args.manifest] + tax_inputs)
+def cmd_bank_build(args, files: _Files) -> None:
+    tax = _load_tax(args, files)
+    bank = bank_build(files.read_records(args.manifest), tax)
+    files.write_bank(args.out, bank)
     print(f"wrote {args.out}: {len(bank)} entries, dim {bank.dim}")
-    return 0
 
 
-def cmd_bank_info(args) -> int:
-    tax, _ = _load_tax(args)
-    bank = _load_bank(args.bank_file, tax)
+def cmd_bank_info(args, files: _Files) -> None:
+    tax = _load_tax(args, files)
+    bank = files.read_bank(args.bank_file, tax)
     print(f"dim: {bank.dim}")
     print(f"entries: {len(bank)}")
     print(f"taxonomy digest: {bank.taxonomy_digest.hex()}")
     hist = bank.leaf_histogram()
     for leaf in range(tax.leaf_count):
         print(f"  {tax.name_of(3, leaf)}: {hist.get(leaf, 0)}")
-    return 0
 
 
-def cmd_bank_merge(args) -> int:
-    tax, tax_inputs = _load_tax(args)
-    merged = bank_merge(_load_bank(args.bank_a, tax), _load_bank(args.bank_b, tax))
-    with open(args.out, "wb") as fh:
-        bank_save(merged, fh)
-    _write_run_manifest(args.out, args, [args.bank_a, args.bank_b] + tax_inputs)
+def cmd_bank_merge(args, files: _Files) -> None:
+    tax = _load_tax(args, files)
+    merged = bank_merge(files.read_bank(args.bank_a, tax), files.read_bank(args.bank_b, tax))
+    files.write_bank(args.out, merged)
     print(f"wrote {args.out}: {len(merged)} entries")
-    return 0
 
 
-def cmd_classify(args) -> int:
-    tax, tax_inputs = _load_tax(args)
-    bank = _load_bank(args.bank, tax)
-    queries = QuerySet.from_records(_load_records(args.queries), bank.dim)
+def cmd_classify(args, files: _Files) -> None:
+    tax = _load_tax(args, files)
+    bank = files.read_bank(args.bank, tax)
+    queries = QuerySet.from_records(files.read_records(args.queries), bank.dim)
 
     res = classify_batch(bank, queries.vectors, args.k, None if args.flat else tax)
     if args.flat:
@@ -195,26 +207,21 @@ def cmd_classify(args) -> int:
         }
         for qid, (y1, y2, y3), fb in zip(queries.ids, paths, fallback)
     ]
-    _write_records(out_records, args.out)
-    _write_run_manifest(args.out, args, [args.bank, args.queries] + tax_inputs)
+    files.write_records(args.out, out_records)
     print(f"wrote {args.out}: {len(out_records)} predictions")
-    return 0
 
 
-def cmd_ensemble(args) -> int:
-    tax, tax_inputs = _load_tax(args)
-    bank_paths = args.banks.split(",")
-    banks = tuple(_load_bank(p, tax) for p in bank_paths)
+def cmd_ensemble(args, files: _Files) -> None:
+    tax = _load_tax(args, files)
+    banks = tuple(files.read_bank(p, tax) for p in args.banks.split(","))
     cfg = EnsembleConfig(banks, k=args.k, tie_policy=args.tie_policy)
-    queries = QuerySet.from_records(_load_records(args.queries), banks[0].dim)
+    queries = QuerySet.from_records(files.read_records(args.queries), banks[0].dim)
     out_records = [
         {"id": qid, "label": tax.name_of(3, leaf)}
         for qid, leaf in run_ensemble(cfg, queries, tax, flat=args.flat)
     ]
-    _write_records(out_records, args.out)
-    _write_run_manifest(args.out, args, bank_paths + [args.queries] + tax_inputs)
+    files.write_records(args.out, out_records)
     print(f"wrote {args.out}: {len(out_records)} predictions from {len(banks)} members")
-    return 0
 
 
 def _maybe_shift(queries: QuerySet, args) -> QuerySet:
@@ -224,8 +231,8 @@ def _maybe_shift(queries: QuerySet, args) -> QuerySet:
     return queries
 
 
-def cmd_ablate(args, parser: _Parser) -> int:
-    tax, tax_inputs = _load_tax(args)
+def cmd_ablate(args, files: _Files, parser: _Parser) -> None:
+    tax = _load_tax(args, files)
     try:
         n_members = int(args.banks)
     except ValueError:
@@ -237,82 +244,67 @@ def cmd_ablate(args, parser: _Parser) -> int:
             parser.error(f"--banks count must be >= 1, got {n_members}")
         if args.queries:
             parser.error("--queries only applies when --banks lists bank files")
-        cfg, inputs = _synth_config(args, tax_inputs)
-        banks, queries = generate_member_banks(cfg, n_members, tax)
+        banks, queries = generate_member_banks(_synth_config(args, files), n_members, tax)
         queries = _maybe_shift(queries, args)
     else:
         if not args.queries:
             parser.error("--queries is required when --banks lists bank files")
-        bank_paths = args.banks.split(",")
-        banks = [_load_bank(p, tax) for p in bank_paths]
-        queries = QuerySet.from_records(_load_records(args.queries), banks[0].dim, labelled=True)
-        inputs = bank_paths + [args.queries] + tax_inputs
+        banks = [files.read_bank(p, tax) for p in args.banks.split(",")]
+        records = files.read_records(args.queries)
+        queries = QuerySet.from_records(records, banks[0].dim, labelled=True)
 
-    truth = [tax.index_of(3, label) for label in queries.labels]
+    truth = leaf_indices(queries.ids, queries.labels, tax)
     rows = ablation_grid(banks, queries.vectors, truth, args.k, tax, policy=args.tie_policy)
 
     lines = ["members,without_hierarchy_mf1,with_hierarchy_mf1"]
     for row in rows:
         lines.append(f"{row.members},{row.without_hierarchy_mf1!r},{row.with_hierarchy_mf1!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_run_manifest(args.out, args, inputs)
+    files.write_text(args.out, "\n".join(lines))
     print(f"wrote {args.out}: {len(rows)} ensemble sizes")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    tax, tax_inputs = _load_tax(args)
+def cmd_evaluate(args, files: _Files) -> None:
+    tax = _load_tax(args, files)
+    records = files.read_records(args.preds)
     by_id = {}
-    for rec in _load_records(args.preds):
+    for rec, leaf in zip(records, _record_leaves(records, tax)):
         if rec["id"] in by_id:
             raise ManifestError(f"duplicate prediction id {rec['id']!r}")
-        by_id[rec["id"]] = tax.index_of(3, _leaf_of_record(rec, "prediction"))
-    truth, preds = [], []
-    for rec in _load_records(args.truth):
-        if rec["id"] not in by_id:
-            raise ManifestError(f"no prediction for id {rec['id']!r}")
-        truth.append(tax.index_of(3, _leaf_of_record(rec, "truth")))
-        preds.append(by_id[rec["id"]])
+        by_id[rec["id"]] = leaf
+    records = files.read_records(args.truth)
+    truth = _record_leaves(records, tax)
+    try:
+        preds = [by_id[rec["id"]] for rec in records]
+    except KeyError as exc:
+        raise ManifestError(f"no prediction for id {exc.args[0]!r}") from None
 
     cm, mf1, report = score_predictions(truth, preds, tax.leaf_count)
     for entry in report["classes"]:
         entry["leaf"] = tax.name_of(3, entry["index"])
     print(f"macro_f1: {mf1!r} over {len(truth)} samples")
 
-    outputs = []
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        outputs.append(args.report)
+        files.write_text(args.report, json.dumps(report, indent=2, sort_keys=True))
     if args.cm:
-        names = [tax.name_of(3, c) for c in range(tax.leaf_count)]
+        names = tax.names(3)
         lines = ["true," + ",".join(names)]
         for c in range(tax.leaf_count):
             counts = ",".join(str(int(v)) for v in cm.counts[c])
             lines.append(f"{names[c]},{counts}")
-        Path(args.cm).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outputs.append(args.cm)
-    if outputs:
-        _write_run_manifest(outputs[0], args, [args.preds, args.truth] + tax_inputs)
-    return 0
+        files.write_text(args.cm, "\n".join(lines))
 
 
-def cmd_synth(args) -> int:
-    tax, tax_inputs = _load_tax(args)
-    cfg, inputs = _synth_config(args, tax_inputs)
-    bank, queries = generate(cfg, tax)
+def cmd_synth(args, files: _Files) -> None:
+    tax = _load_tax(args, files)
+    bank, queries = generate(_synth_config(args, files), tax)
     queries = _maybe_shift(queries, args)
 
-    with open(args.out, "wb") as fh:
-        bank_save(bank, fh)
-    _write_records(queries, args.queries)
-    _write_run_manifest(args.out, args, inputs)
+    files.write_bank(args.out, bank)
+    files.write_records(args.queries, queries)
     print(f"wrote {args.out} ({len(bank)} entries) and {args.queries} ({len(queries)} queries)")
-    return 0
 
 
-def cmd_traintoy(args) -> int:
+def cmd_traintoy(args, files: _Files) -> None:
     cfg = LossConfig(
         lambda_dino=args.lambda_dino,
         lambda_sup=args.lambda_sup,
@@ -336,23 +328,17 @@ def cmd_traintoy(args) -> int:
     lines = ["epoch,dino_loss,sup_loss,total_loss,eval_mf1"]
     for row in trace:
         lines.append(f"{row.epoch},{row.dino!r},{row.sup!r},{row.total!r},{row.eval_mf1!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_run_manifest(args.out, args, [])
+    files.write_text(args.out, "\n".join(lines))
     best_mf1 = max(row.eval_mf1 for row in trace)
     print(f"wrote {args.out}: {len(trace)} epochs, best eval_mf1 {best_mf1!r}")
-    return 0
 
 
-def cmd_grad_check(args) -> int:
+def cmd_grad_check(args, files: _Files) -> None:
     worst = grad_check_report(seed=args.seed, trials=args.trials)
     for name in ("dino", "balanced_ce", "total"):
         print(f"{name}: max relative error {worst[name]!r}")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(worst, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        _write_run_manifest(args.out, args, [])
-    return 0
+        files.write_text(args.out, json.dumps(worst, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------- wiring
@@ -433,7 +419,7 @@ def build_parser() -> _Parser:
                    dest="tie_policy")
     _add_shift_flags(p)
     _add_taxonomy_flag(p)
-    p.set_defaults(func=lambda a, _p=p: cmd_ablate(a, _p))
+    p.set_defaults(func=lambda a, f, _p=p: cmd_ablate(a, f, _p))
 
     p = sub.add_parser("evaluate", help="score predictions against truth labels")
     p.add_argument("--preds", required=True)
@@ -481,11 +467,15 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    files = _Files()
     try:
-        return args.func(args)
+        args.func(args, files)
+        if files.outputs:
+            _write_run_manifest(files, args)
     except (HierknnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -54,25 +54,29 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def tp_fp_fn(self, c: int) -> tuple[int, int, int]:
-        tp = int(self.counts[c, c])
-        fp = int(self.counts[:, c].sum()) - tp
-        fn = int(self.counts[c, :].sum()) - tp
-        return tp, fp, fn
+
+def _per_class(cm: ConfusionMatrix):
+    """Per-class precision, recall, F1 and support, as arrays; a ratio over 0 is 0.0."""
+    tp = np.diagonal(cm.counts)
+    predicted = cm.counts.sum(axis=0)  # TP + FP
+    support = cm.counts.sum(axis=1)  # TP + FN
+    ratios = [
+        np.divide(num, denom, out=np.zeros(cm.n_classes), where=denom > 0)
+        for num, denom in ((tp, predicted), (tp, support), (2.0 * tp, predicted + support))
+    ]
+    return (*ratios, support)
 
 
 def per_class_f1(cm: ConfusionMatrix, c: int) -> float:
     """2*TP / (2*TP + FP + FN), or 0.0 when the denominator is zero."""
     if not 0 <= c < cm.n_classes:
         raise ValueError(f"class {c} out of range")
-    tp, fp, fn = cm.tp_fp_fn(c)
-    denom = 2 * tp + fp + fn
-    return 0.0 if denom == 0 else 2.0 * tp / denom
+    return float(_per_class(cm)[2][c])
 
 
 def macro_f1(cm: ConfusionMatrix) -> float:
     """Unweighted mean of per-class F1 over all classes."""
-    return sum(per_class_f1(cm, c) for c in range(cm.n_classes)) / cm.n_classes
+    return sum(_per_class(cm)[2].tolist()) / cm.n_classes
 
 
 def score_predictions(truth, preds, n_classes: int):
@@ -86,21 +90,12 @@ def score_predictions(truth, preds, n_classes: int):
     if not truth:
         raise ValueError("no samples")
     cm = ConfusionMatrix.from_pairs(truth, preds, n_classes)
-    classes = []
-    for c in range(n_classes):
-        tp, fp, fn = cm.tp_fp_fn(c)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        classes.append(
-            {
-                "index": c,
-                "precision": precision,
-                "recall": recall,
-                "f1": per_class_f1(cm, c),
-                "support": tp + fn,
-            }
-        )
-    mf1 = macro_f1(cm)
+    precision, recall, f1, support = (column.tolist() for column in _per_class(cm))
+    classes = [
+        {"index": c, "precision": p, "recall": r, "f1": f, "support": n}
+        for c, (p, r, f, n) in enumerate(zip(precision, recall, f1, support))
+    ]
+    mf1 = sum(f1) / n_classes
     report = {
         "convention": F1_CONVENTION,
         "n_samples": len(truth),

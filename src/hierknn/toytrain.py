@@ -259,7 +259,12 @@ def total_loss(
     The distillation term sees the whole batch; the supervised term sees
     only the labeled samples (and errors if a positive weight finds none).
     """
-    loss = 0.0
+    return _loss_terms(model, ema, batch, weights, cfg)[2:]
+
+
+def _loss_terms(model, ema, batch, weights, cfg) -> tuple[float, float, float, Gradients]:
+    """Distillation and supervised losses (0.0 if unweighted), then what total_loss returns."""
+    l_dino = l_sup = loss = 0.0
     grads = Gradients.zeros_like(model)
     if cfg.lambda_dino > 0:
         l_dino, g_dino = dino_loss(model, ema, batch, cfg)
@@ -272,7 +277,7 @@ def total_loss(
         l_sup, g_sup = balanced_ce(model, labeled, weights)
         loss += cfg.lambda_sup * l_sup
         grads.clf += cfg.lambda_sup * g_sup.clf
-    return loss, grads
+    return l_dino, l_sup, loss, grads
 
 
 @dataclass(frozen=True)
@@ -334,13 +339,7 @@ def train_toy(
     best_model: ToyModel | None = None
     best_mf1 = -1.0
     for epoch in range(1, epochs + 1):
-        l_dino = l_sup = 0.0
-        if cfg.lambda_dino > 0:
-            l_dino, _ = dino_loss(student, ema, train, cfg)
-        if cfg.lambda_sup > 0:
-            labeled = [p for p in train if p.label is not None]
-            l_sup, _ = balanced_ce(student, labeled, weights)
-        l_total, grads = total_loss(student, ema, train, weights, cfg)
+        l_dino, l_sup, l_total, grads = _loss_terms(student, ema, train, weights, cfg)
         if not np.isfinite(l_total):
             raise TrainingError(
                 f"training diverged at epoch {epoch} (loss={l_total!r}, lr={lr})"

@@ -290,6 +290,43 @@ class TestBadInputs:
                     "--report", "r.json"], tmp_path)
         self.assert_data_error(proc, repr(preds[0]["id"]), tmp_path / "r.json")
 
+    @pytest.mark.parametrize("field", ["y3", "label"])
+    def test_unknown_leaf_in_predictions_and_truth(self, tmp_path, field):
+        """An unknown leaf names its record, in the predictions and in the truth."""
+        preds = self.classify_then_edit(tmp_path, lambda p: p)
+        path = tmp_path / ("p.jsonl" if field == "y3" else "q.jsonl")
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        records[1][field] = "ZZ"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        proc = run(["evaluate", "--preds", "p.jsonl", "--truth", "q.jsonl",
+                    "--report", "r.json"], tmp_path)
+        self.assert_data_error(proc, f"record {preds[1]['id']!r}: unknown leaf 'ZZ'",
+                               tmp_path / "r.json")
+
+    def test_unknown_leaf_in_ablate_queries(self, tmp_path):
+        make_synth(tmp_path)
+        records = [json.loads(l) for l in (tmp_path / "q.jsonl").read_text().splitlines()]
+        records[2]["label"] = "ZZ"
+        lines = "".join(json.dumps(r) + "\n" for r in records)
+        (tmp_path / "bad.jsonl").write_text(lines, encoding="utf-8")
+        proc = run(["ablate", "--banks", "bank.hbnk,bank.hbnk", "--queries", "bad.jsonl",
+                    "--out", "g.csv"], tmp_path)
+        self.assert_data_error(proc, f"record {records[2]['id']!r}: unknown leaf 'ZZ'",
+                               tmp_path / "g.csv")
+
+    @pytest.mark.parametrize("args, bad", [
+        (["taxonomy", "validate", "--config", "bad.txt"], "bad.txt"),
+        (["synth", "--config", "bad.cfg", "--out", "out", "--queries", "out.jsonl"], "bad.cfg"),
+        (["classify", "--bank", "bank.hbnk", "--queries", "bad.jsonl", "--out", "out"],
+         "bad.jsonl"),
+    ])
+    def test_non_utf8_input_names_the_file(self, tmp_path, args, bad):
+        """A taxonomy, synth config or query file that is not UTF-8 is named."""
+        make_synth(tmp_path)
+        (tmp_path / bad).write_bytes(b"\xff\xfe not utf-8\n")
+        proc = run(args, tmp_path)
+        self.assert_data_error(proc, f"error: {bad}: not UTF-8 text", tmp_path / "out")
+
     def test_oversized_bank_header(self, tmp_path):
         make_synth(tmp_path)
         data = bytearray((tmp_path / "bank.hbnk").read_bytes())
@@ -339,7 +376,10 @@ class TestPinnedOutputs:
 
     The digests were recorded from the release before classify, ensemble
     and ablate shared one batched inference path; any change to retrieval
-    order, vote tie-breaking or output formatting shows up here.
+    order, vote tie-breaking or output formatting shows up here. The run
+    manifests' digests were recorded before the CLI opened its files
+    through one layer; a change in which inputs, flags or version a
+    manifest records shows up here too.
     """
 
     PINNED = {
@@ -347,6 +387,19 @@ class TestPinnedOutputs:
         "flat.jsonl": "530d6c311e1dd344f81343fb710e66050905870b1107cdde17a1c5cb50e65086",
         "ens.jsonl": "c441dc6ed092bf620a6e9fbbf6145d333e2ae6895c07e82ee17f458c13191e2a",
         "grid.csv": "8b429a0d61b64bb243ebaed39160dca3658a64861a6374c023f4a013c36de7b4",
+        # run manifests: command, flags, input digests and version, one per command
+        "bank.hbnk.manifest.json":
+            "6962523c3a29151b814d23c3f59d6b28e62b892cd5c5e77e2693215623472e1e",
+        "bank2.hbnk.manifest.json":
+            "6772f03a2ee594713b67d026d39eb73108afc848c47ff61d8927b71f6f9e1e79",
+        "preds.jsonl.manifest.json":
+            "6c20c77a3d3d51c63ae5fd5f3ca1734185e5786ac809b90025d1027f82a55aa4",
+        "flat.jsonl.manifest.json":
+            "924e2471620e7a400d8cc6830f4e419518158621e026ce01612d49afd9757ce2",
+        "ens.jsonl.manifest.json":
+            "690c847491813abee3891e62b6563861c70658a006b57677d6e48999ebc30dfd",
+        "grid.csv.manifest.json":
+            "d0338ec17b9d71788ff5d6098ae941560a2a21a86909260f9023ce454bb4c6d0",
     }
 
     def test_outputs_match_pinned_digests(self, tmp_path):
@@ -374,6 +427,10 @@ class TestPinnedOutputs:
         "bank.hbnk": "74a163980b520e35988114b8e91192b6d5a2e144e09930d058e83f82370f30db",
         "q.jsonl": "e60cbe5d1be4e633a940514c06b1c5ff219db54097a11821d80e55578e5c03a9",
         "qbank.hbnk": "ec10624fde03609bb1a183e8501eea4d7dfb0c6a630f638cd8eab21a0ea59e2d",
+        "bank.hbnk.manifest.json":
+            "3064d43f04bf6f6120068089dcb9e3adde5c6fa42e91791f28d0a59d97832b73",
+        "qbank.hbnk.manifest.json":
+            "b37ecfd7e93e97c9a9a1cf3b1edb955d7e27820ad91aefaf383ad2228896a279",
     }
 
     def test_synth_and_build_match_pinned_digests(self, tmp_path):
