@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import struct
 from collections import Counter
+from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -157,17 +158,20 @@ class QuerySet:
     def from_records(cls, records: Iterable[dict], dim=None, labelled=False) -> "QuerySet":
         """Parse manifest records (as :func:`read_manifest` yields them) into a set.
 
-        Every vector must be a flat list of ``dim`` numbers (default: as many as
-        the first record's), finite and not all zero; ``labelled`` also requires
-        a leaf ``label``. Errors are ManifestErrors naming the first bad record.
+        Every vector must be a flat list of ``dim`` numbers (default: as many
+        as the first record's; ``true`` and ``"1.5"`` are not numbers), finite
+        and not all zero; ``labelled`` also requires a leaf ``label``. Errors
+        are ManifestErrors naming the first bad record.
         """
         records = list(records)
         ids = [rec["id"] for rec in records]
-        vectors = _floats([rec.get("vector") for rec in records])
-        if vectors is None or vectors.ndim != 2 or dim not in (None, vectors.shape[1]):
-            for rid, rec in zip(ids, records):  # one at a time, to name the first bad one
-                v = _floats(rec.get("vector"))  # a missing vector is 0-d
-                if v is None or v.ndim != 1:
+        raw = [rec.get("vector") for rec in records]
+        vectors = _floats(raw)
+        if (vectors is None or vectors.ndim != 2 or dim not in (None, vectors.shape[1])
+                or not _numbers(chain.from_iterable(raw))):
+            for rid, entries in zip(ids, raw):  # one at a time, to name the first bad one
+                v = _floats(entries)  # a missing vector is 0-d
+                if v is None or v.ndim != 1 or not _numbers(entries):
                     raise ManifestError(f"record {rid!r}: vector must be a flat list of numbers")
                 dim = len(v) if dim is None else dim
                 if len(v) != dim:
@@ -195,6 +199,12 @@ class QuerySet:
             rec = {"id": rid} if self.labels is None else {"id": rid, "label": self.labels[i]}
             rec["vector"] = self.vectors[i].tolist()
             yield rec
+
+
+def _numbers(entries: Iterable) -> bool:
+    """Whether every entry is an int or a float (numpy's too), and none a bool."""
+    types = set(map(type, entries))
+    return bool not in types and all(issubclass(t, (int, float, np.number)) for t in types)
 
 
 def _floats(obj) -> np.ndarray | None:
@@ -265,7 +275,7 @@ def bank_build_arrays(ids, leaves, vectors, tax: Taxonomy) -> FeatureBank:
     """Build a bank from parallel columns: ids, leaf indices, (n, d) vectors.
 
     Rows keep their order and are normalized by :func:`normalize_rows`; label
-    paths come from the leaves through ``Taxonomy.parents``. Errors name the
+    paths are the leaves' rows of ``Taxonomy.paths``. Errors name the
     first bad record by id.
     """
     ids = tuple(ids)
@@ -278,12 +288,10 @@ def bank_build_arrays(ids, leaves, vectors, tax: Taxonomy) -> FeatureBank:
     if bad.any():
         i = int(np.argmax(bad))
         raise BankError(f"record {ids[i]!r}: leaf index {leaves[i]} out of range")
-    if max(tax.node_count(l) for l in (1, 2, 3)) > 0xFFFF:
+    if tax.sizes.max() > 0xFFFF:
         raise BankError("taxonomy too large for 16-bit label indices")
-    l2 = np.asarray(tax.parents(3))[leaves]
-    labels = np.column_stack([np.asarray(tax.parents(2))[l2], l2, leaves])
     vectors = normalize_rows(vectors, ids)
-    return FeatureBank(vectors.shape[1], ids, labels, vectors, tax.digest)
+    return FeatureBank(vectors.shape[1], ids, tax.paths[leaves], vectors, tax.digest)
 
 
 def bank_save(bank: FeatureBank, sink: BinaryIO) -> None:
@@ -362,7 +370,7 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
     else:
         labels = np.empty((0, 3), dtype="<u2")
         vectors = np.empty((0, dim), dtype="<f4")
-    over = labels >= [tax.node_count(l) for l in (1, 2, 3)]
+    over = labels >= tax.sizes
     if over.any():
         i, level = divmod(int(np.argmax(over)), 3)
         raise BankFormatError(

@@ -12,8 +12,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import sys
+
+import numpy as np
 
 from . import __version__
 from .bank import (
@@ -57,30 +60,49 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class _HashedFile(io.FileIO):
+    """A file opened for reading that hashes each byte as it is read."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def readall(self):
+        data = super().readall()
+        self.sha256.update(data)
+        return data
 
 
 class _Files:
     """Every file a command opens: each file read is a run input, each written an output."""
 
     def __init__(self):
-        self.inputs: list[str] = []
+        self.inputs: dict[str, str] = {}  # path: SHA-256 of the bytes read from it
         self.outputs: list[str] = []
 
     @contextlib.contextmanager
     def open(self, path, mode="r"):
         """``open(path, mode)``, UTF-8 in text mode; text that does not decode names the file."""
-        (self.outputs if "w" in mode else self.inputs).append(path)
-        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        if "w" in mode:
+            self.outputs.append(path)
+            with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+                yield fh
+            return
+        raw = _HashedFile(path)
+        fh = io.BufferedReader(raw)
+        with fh if "b" in mode else io.TextIOWrapper(fh, encoding="utf-8") as fh:
             try:
                 yield fh
             except UnicodeDecodeError:
                 raise HierknnError(f"{path}: not UTF-8 text") from None
+            while raw.readinto(bytearray(1 << 16)):  # what the reader left is hashed too
+                pass
+            self.inputs[str(path)] = raw.sha256.hexdigest()
 
     def read_text(self, path) -> str:
         with self.open(path) as fh:
@@ -120,7 +142,7 @@ def _write_run_manifest(files: _Files, args) -> None:
     doc = {
         "command": args.command if args.command != "bank" else f"bank {args.bank_command}",
         "flags": flags,
-        "inputs": {str(p): _sha256(p) for p in files.inputs},
+        "inputs": files.inputs,
         "version": __version__,
     }
     path = f"{files.outputs[0]}.manifest.json"
@@ -192,20 +214,15 @@ def cmd_classify(args, files: _Files) -> None:
 
     res = classify_batch(bank, queries.vectors, args.k, None if args.flat else tax)
     if args.flat:
-        paths = [tax.path_of(leaf).as_tuple() for leaf in res.flat_leaf.tolist()]
+        paths = tax.paths[res.flat_leaf].T
         fallback = [[False, False, False]] * len(queries)
     else:
-        paths = zip(res.y1.tolist(), res.y2.tolist(), res.y3.tolist())
+        paths = (res.y1, res.y2, res.y3)
         fallback = res.fallback.tolist()
+    names = [np.array(tax.names(lv), dtype=object)[col] for lv, col in zip((1, 2, 3), paths)]
     out_records = [
-        {
-            "id": qid,
-            "y1": tax.name_of(1, y1),
-            "y2": tax.name_of(2, y2),
-            "y3": tax.name_of(3, y3),
-            "fallback": fb,
-        }
-        for qid, (y1, y2, y3), fb in zip(queries.ids, paths, fallback)
+        {"id": qid, "y1": y1, "y2": y2, "y3": y3, "fallback": fb}
+        for qid, y1, y2, y3, fb in zip(queries.ids, *names, fallback)
     ]
     files.write_records(args.out, out_records)
     print(f"wrote {args.out}: {len(out_records)} predictions")
@@ -216,10 +233,9 @@ def cmd_ensemble(args, files: _Files) -> None:
     banks = tuple(files.read_bank(p, tax) for p in args.banks.split(","))
     cfg = EnsembleConfig(banks, k=args.k, tie_policy=args.tie_policy)
     queries = QuerySet.from_records(files.read_records(args.queries), banks[0].dim)
-    out_records = [
-        {"id": qid, "label": tax.name_of(3, leaf)}
-        for qid, leaf in run_ensemble(cfg, queries, tax, flat=args.flat)
-    ]
+    voted = run_ensemble(cfg, queries, tax, flat=args.flat)
+    labels = np.array(tax.leaf_names, dtype=object)[[leaf for _, leaf in voted]]
+    out_records = [{"id": qid, "label": label} for (qid, _), label in zip(voted, labels)]
     files.write_records(args.out, out_records)
     print(f"wrote {args.out}: {len(out_records)} predictions from {len(banks)} members")
 

@@ -106,13 +106,13 @@ def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy | None = None) ->
     flat = _vote(labels[:, :, 2], sims, n_leaves)
     if tax is None:
         return BatchPrediction(*flat)
-    if (labels.max(axis=(0, 1), initial=0) >= [tax.node_count(lv) for lv in (1, 2, 3)]).any():
+    if (labels.max(axis=(0, 1), initial=0) >= tax.sizes).any():
         raise InferenceError("bank label index out of range for the taxonomy")
 
     y, c = _vote(labels[:, :, 0], sims, tax.node_count(1))
     ys, counts, fallback = [y], [c], np.zeros((len(Q), 3), dtype=bool)
     for level in (2, 3):
-        parent = np.asarray(tax.parents(level))
+        parent = tax.parents(level)
         col = labels[:, :, level - 1]
         under = parent[col] == ys[-1][:, None]
         y, c = _vote(np.where(under, col, -1), sims, len(parent))

@@ -45,20 +45,8 @@ def cosine_similarity(a, b) -> float:
 
 
 def _select(sims: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k largest ``sims``, descending, ties by ascending position.
-
-    Equal to the first k of a full stable sort on ``-sims``: the partition
-    finds the k-th value, every position at or above it is kept in index
-    order, and only those are sorted stably.
-    """
-    neg = -sims
-    if k >= neg.size:
-        return np.argsort(neg, kind="stable")
-    kth = np.partition(neg, k - 1)[k - 1]
-    if np.isnan(kth):  # fewer than k comparable values: NaNs sort last
-        return np.argsort(neg, kind="stable")[:k]
-    keep = np.flatnonzero(neg <= kth)
-    return keep[np.argsort(neg[keep], kind="stable")[:k]]
+    """Positions of the k largest ``sims``, descending, ties by ascending position."""
+    return np.argsort(-sims, kind="stable")[:k]
 
 
 def _slack(bank: FeatureBank) -> float:

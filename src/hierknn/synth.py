@@ -264,7 +264,6 @@ def generate(cfg: SynthConfig, tax: Taxonomy) -> tuple[FeatureBank, QuerySet]:
 # cleanest), so growing an ensemble prefix both averages out member biases
 # and mixes in progressively better members.
 _MEMBER_EXPORT_ROTATION = 0.9
-_MEMBER_EXPORT_BIAS = 0.0
 
 
 def generate_member_banks(
@@ -273,9 +272,9 @@ def generate_member_banks(
     """Several banks over one shared cluster geometry, plus one query set.
 
     Each member redraws its sample noise independently and is then passed
-    through a member-specific export transform (small seeded rotation plus
-    bias), standing in for banks built from different training splits or
-    model checkpoints. Bank sizes per leaf follow the same 80/20 rule as
+    through a member-specific export transform (two small seeded plane
+    rotations), standing in for banks built from different training splits
+    or model checkpoints. Bank sizes per leaf follow the same 80/20 rule as
     generate(); the query set uses the 20% share and stays untransformed.
     """
     if n_members < 1:
@@ -293,12 +292,12 @@ def generate_member_banks(
     for m in range(n_members):
         rng = np.random.default_rng(seeds[2 + m])
         stacked = _draw(rng, means, n_bank, cfg.noise_sigma).astype(np.float64)
-        bias_vec = _MEMBER_EXPORT_BIAS * _unit(rng, cfg.dim)
+        rng.standard_normal(cfg.dim)  # unused, but it fixes where the planes below are drawn
         angle = _MEMBER_EXPORT_ROTATION * (n_members - m) / n_members
         # two independent planes: a single-plane displacement could line
         # up with a query-side shift by chance, a composed pair cannot
         stacked = _rotate_in_plane(stacked, _draw_plane(rng, cfg.dim), angle)
-        stacked = _rotate_in_plane(stacked, _draw_plane(rng, cfg.dim), angle) + bias_vec
+        stacked = _rotate_in_plane(stacked, _draw_plane(rng, cfg.dim), angle)
         # normalized here and again by the builder, as exported entries
         # always were; a second pass can move a last bit, so both stay
         banks.append(

@@ -27,6 +27,8 @@ import hashlib
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .errors import TaxonomyError
 
 _SECTIONS = {"[level1]": 1, "[level2]": 2, "[level3]": 3}
@@ -47,6 +49,8 @@ class LabelPath:
 class Taxonomy:
     """Immutable three-level tree with parent/child/ancestor lookups.
 
+    The tree is kept as read-only index arrays: ``paths`` (row l: leaf l's
+    lineage, group and leaf), ``sizes`` (nodes per level) and ``parents``.
     Instances are only built through :func:`load_taxonomy`, which validates
     the single-parent and coverage invariants. Safe for concurrent reads.
     """
@@ -58,28 +62,22 @@ class Taxonomy:
         parent3: tuple[int, ...],
     ):
         self._names = names
-        self._parent2 = parent2
-        self._parent3 = parent3
         self._index = [
             {name: i for i, name in enumerate(level_names)} for level_names in names
         ]
-        children2: list[list[int]] = [[] for _ in names[0]]
-        for child, parent in enumerate(parent2):
-            children2[parent].append(child)
-        children3: list[list[int]] = [[] for _ in names[1]]
-        for child, parent in enumerate(parent3):
-            children3[parent].append(child)
-        self._children = (
-            tuple(tuple(c) for c in children2),
-            tuple(tuple(c) for c in children3),
-        )
+        p2, p3 = np.array(parent2, dtype=np.intp), np.array(parent3, dtype=np.intp)
+        self._parents = (p2, p3)
+        self.paths = np.column_stack([p2[p3], p3, np.arange(len(p3))])
+        self.sizes = np.array([len(level_names) for level_names in names])
+        for table in (p2, p3, self.paths, self.sizes):
+            table.flags.writeable = False
         self._digest = self._compute_digest()
 
     def _compute_digest(self) -> bytes:
         lines = ["taxonomy-v1"]
         lines.append(",".join(self._names[0]))
-        lines.append(",".join(f"{n}:{p}" for n, p in zip(self._names[1], self._parent2)))
-        lines.append(",".join(f"{n}:{p}" for n, p in zip(self._names[2], self._parent3)))
+        for level_names, parents in zip(self._names[1:], self._parents):
+            lines.append(",".join(f"{n}:{p}" for n, p in zip(level_names, parents.tolist())))
         return hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
 
     @property
@@ -119,40 +117,35 @@ class Taxonomy:
         """Parent index at ``level - 1`` of the given node; levels 2 and 3 only."""
         parents = self.parents(level)
         self._check_index(level, index)
-        return parents[index]
+        return int(parents[index])
 
-    def parents(self, level: int) -> tuple[int, ...]:
+    def parents(self, level: int) -> np.ndarray:
         """Parent index at ``level - 1`` of every level-``level`` node, in node order."""
         if level not in (2, 3):
             raise TaxonomyError(f"nodes at level {level} have no parent")
-        return (self._parent2, self._parent3)[level - 2]
+        return self._parents[level - 2]
 
     def children(self, level: int, parent: int) -> tuple[int, ...]:
         """Level-``level`` nodes whose parent at ``level - 1`` is ``parent``."""
         if level not in (2, 3):
             raise TaxonomyError(f"children() requires level 2 or 3, got {level}")
         self._check_index(level - 1, parent)
-        return self._children[level - 2][parent]
+        return tuple(np.flatnonzero(self.parents(level) == parent).tolist())
 
     def ancestor(self, leaf: int, level: int) -> int:
         """The unique node at ``level`` on the leaf's root path; level 3 is the leaf itself."""
         self._check_level(level)
         self._check_index(3, leaf)
-        if level == 3:
-            return leaf
-        l2 = self._parent3[leaf]
-        return l2 if level == 2 else self._parent2[l2]
+        return int(self.paths[leaf, level - 1])
 
     def path_of(self, leaf: int) -> LabelPath:
-        return LabelPath(self.ancestor(leaf, 1), self.ancestor(leaf, 2), leaf)
+        self._check_index(3, leaf)
+        return LabelPath(*self.paths[leaf].tolist())
 
     def validate_path(self, path: LabelPath) -> None:
         """Raise TaxonomyError unless the path is a real root-to-leaf chain."""
-        self._check_index(3, path.l3)
-        if self._parent3[path.l3] != path.l2 or self._parent2[path.l2] != path.l1:
-            raise TaxonomyError(
-                f"label path {path.as_tuple()} is not parent-consistent"
-            )
+        if self.path_of(path.l3) != path:
+            raise TaxonomyError(f"label path {path.as_tuple()} is not parent-consistent")
 
     def _check_level(self, level: int) -> None:
         if level not in (1, 2, 3):
@@ -246,17 +239,13 @@ def load_taxonomy(text: str) -> Taxonomy:
 
     parent2 = resolve(parents[0], 2)
     parent3 = resolve(parents[1], 3)
-
-    covered2 = set(parent3)
-    if len(covered2) < len(names[1]):
-        missing = next(n for i, n in enumerate(names[1]) if i not in covered2)
-        raise TaxonomyError(f"level-2 node {missing!r} has no children")
-    covered1 = {parent2[m] for m in covered2}
-    if len(covered1) < len(names[0]):
-        missing = next(n for i, n in enumerate(names[0]) if i not in covered1)
-        raise TaxonomyError(f"level-1 node {missing!r} has no descendants")
-
-    return Taxonomy((tuple(names[0]), tuple(names[1]), tuple(names[2])), parent2, parent3)
+    tax = Taxonomy((tuple(names[0]), tuple(names[1]), tuple(names[2])), parent2, parent3)
+    for level, what in ((2, "children"), (1, "descendants")):
+        bare = np.bincount(tax.paths[:, level - 1], minlength=tax.sizes[level - 1]) == 0
+        if bare.any():
+            missing = names[level - 1][bare.argmax()]
+            raise TaxonomyError(f"level-{level} node {missing!r} has no {what}")
+    return tax
 
 
 def default_taxonomy() -> Taxonomy:

@@ -23,6 +23,7 @@ from .metrics import ConfusionMatrix, macro_f1
 DEFAULT_TAU_TEACHER = 0.04
 DEFAULT_TAU_STUDENT = 0.1
 DEFAULT_MOMENTUM = 0.999
+_EVAL_FRACTION = 0.25  # share of each class that make_toy_dataset holds out for eval
 
 
 @dataclass
@@ -308,7 +309,6 @@ def train_toy(
     seed: int,
     momentum: float = DEFAULT_MOMENTUM,
     weights: ClassWeights | None = None,
-    init_scale: float = 0.1,
 ) -> tuple[ToyModel, list[TraceRow]]:
     """Full-batch gradient descent with an EMA teacher update per step.
 
@@ -332,7 +332,7 @@ def train_toy(
 
     rng = np.random.default_rng(seed)
     d_in = train[0].x_student.shape[0]
-    student = ToyModel.init_random(d_in, proj_dim, n_classes, rng, init_scale)
+    student = ToyModel.init_random(d_in, proj_dim, n_classes, rng)
     ema = EmaState.from_student(student, momentum)
 
     trace: list[TraceRow] = []
@@ -450,7 +450,6 @@ def make_toy_dataset(
     separation: float,
     view_sigma: float,
     seed: int,
-    eval_fraction: float = 0.25,
 ) -> tuple[list[ViewPair], list[ViewPair]]:
     """Gaussian class clusters rendered as two-view pairs; split train/eval.
 
@@ -466,7 +465,7 @@ def make_toy_dataset(
     means = separation * basis.T  # (n_classes, dim)
     train: list[ViewPair] = []
     eval_pairs: list[ViewPair] = []
-    n_eval = max(1, int(per_class * eval_fraction))
+    n_eval = max(1, int(per_class * _EVAL_FRACTION))
     for c in range(n_classes):
         for j in range(per_class):
             base = means[c] + rng.standard_normal(dim)

@@ -78,9 +78,7 @@ def bank_from_arrays(tax, vectors: np.ndarray, leaves: list[int],
     n = vectors.shape[0]
     if ids is None:
         ids = [f"r{i}" for i in range(n)]
-    labels = np.asarray(
-        [tax.path_of(int(leaf)).as_tuple() for leaf in leaves], dtype=np.uint16
-    ).reshape(n, 3)
+    labels = tax.paths[np.asarray(leaves, dtype=np.intp)]
     return FeatureBank(int(vectors.shape[1]), ids, labels, vectors, tax.digest)
 
 
@@ -102,7 +100,7 @@ def crossed_label_bank(tax, rng, n_near: int = 6, dim: int = 6) -> FeatureBank:
     far = -near[:1].repeat(tax.leaf_count, axis=0)
     far += 0.01 * unit_rows(rng, tax.leaf_count, dim)
     far /= np.linalg.norm(far, axis=1, keepdims=True)
-    labels += [list(tax.path_of(leaf).as_tuple()) for leaf in range(tax.leaf_count)]
+    labels += tax.paths.tolist()
 
     vectors = np.vstack([near, far]).astype(np.float32)
     ids = [f"n{i}" for i in range(n_near)] + [f"f{i}" for i in range(tax.leaf_count)]

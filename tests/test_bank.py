@@ -264,6 +264,8 @@ class TestQuerySet:
         ([1.0, 0.0, 0.0], "dim mismatch: record 'bad' has dim 3, expected 2"),
         ([float("nan"), 1.0], "non-finite"),
         ([0.0, 0.0], "zero-norm"),
+        ([True, 1.0], "flat list"),
+        (["1.5", 1.0], "flat list"),
     ])
     def test_bad_vector_named(self, vector, why):
         recs = [{"id": "ok", "vector": [1.0, 0.0]}, {"id": "bad", "vector": vector}]

@@ -232,6 +232,36 @@ class TestRunManifests:
         assert doc["inputs"]["bank.hbnk"] == digest
         assert "timestamp" not in json.dumps(doc)
 
+    def test_piped_input_digest_is_of_the_bytes_read(self, tmp_path):
+        """A bank read from a pipe is hashed as it is read: the pipe is empty afterwards."""
+        make_synth(tmp_path)
+        data = (tmp_path / "bank.hbnk").read_bytes()
+        assert len(data) < 16384  # fits a pipe buffer, so one write cannot block
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            proc = run(["classify", "--bank", "/dev/stdin", "--queries", "q.jsonl",
+                        "--out", "p.jsonl"], tmp_path, stdin=read_end)
+        finally:
+            os.close(read_end)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "p.jsonl.manifest.json").read_text())
+        assert doc["inputs"]["/dev/stdin"] == hashlib.sha256(data).hexdigest()
+        queries = (tmp_path / "q.jsonl").read_bytes()
+        assert doc["inputs"]["q.jsonl"] == hashlib.sha256(queries).hexdigest()
+
+    def test_input_digest_covers_unread_bytes(self, tmp_path):
+        """An input the command stops reading early is still hashed whole."""
+        from hierknn.cli import _Files
+
+        path = tmp_path / "in.bin"
+        path.write_bytes(bytes(range(256)) * 1000)
+        files = _Files()
+        with files.open(str(path), "rb") as fh:
+            assert fh.read(10) == bytes(range(10))
+        assert files.inputs == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
 
 class TestBadInputs:
     """Invalid data exits 2 naming the record, with no traceback and no output."""
@@ -250,6 +280,8 @@ class TestBadInputs:
         ({"a": 1}, "dict-vector"),
         ("abc", "string-vector"),
         (["x"] + [1.0] * 7, "string-entry"),
+        ([True] + [1.0] * 7, "bool-entry"),
+        (["1.5"] + [1.0] * 7, "numeric-string-entry"),
     ])
     def test_unusable_query_vectors(self, tmp_path, vector, qid):
         make_synth(tmp_path)

@@ -75,6 +75,13 @@ class TestDefaultTree:
             assert path.l3 in tax.children(3, path.l2)
             tax.validate_path(path)
 
+    def test_tree_arrays_are_read_only(self, tax):
+        """The shared tree arrays cannot be edited through any caller."""
+        for arr in (tax.paths, tax.sizes, tax.parents(2), tax.parents(3)):
+            assert isinstance(arr, np.ndarray)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
     def test_index_name_round_trip(self, tax):
         for level in (1, 2, 3):
             for i, name in enumerate(tax.names(level)):
@@ -186,3 +193,6 @@ class TestDeterminism:
                 assert sorted(seen) == list(range(t.node_count(level)))
             for leaf in range(t.leaf_count):
                 t.validate_path(t.path_of(leaf))
+                assert t.paths[leaf].tolist() == list(t.path_of(leaf).as_tuple())
+            assert t.paths.shape == (t.leaf_count, 3)
+            assert t.sizes.tolist() == [t.node_count(level) for level in (1, 2, 3)]
