@@ -8,9 +8,10 @@ entries carry parent-inconsistent label triples), the vote falls back to a
 bank-wide retrieval restricted to the valid children, and the prediction
 records that the fallback fired.
 
-:func:`classify_batch` is the one entry point: it retrieves each query's
-neighbors once and computes the hierarchical and the flat vote from them.
-The per-query functions are one-row wrappers around it.
+:func:`classify_batch` is the one entry point. It retrieves each query's
+neighbors once and tallies them once, over the nodes of all three levels
+(``Taxonomy.edges``); every vote, the flat one included, picks from that
+tally. The per-query functions are one-row wrappers around it.
 """
 from __future__ import annotations
 
@@ -56,25 +57,33 @@ class BatchPrediction(NamedTuple):
     counts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-def _vote(labels: np.ndarray, sims: np.ndarray, n_classes: int):
-    """Winner and (m, n_classes) counts per row of (m, k) labels; label -1 casts no vote.
+def _tally(labels: np.ndarray, sims: np.ndarray, edges):
+    """Counts and summed similarities, (m, edges[-1]) each, of (m, k, L) labels.
 
-    The key is count, then summed similarity, then the lower class index.
-    ``bincount`` sums each class's similarities in neighbor order, as a
-    running sum would, so near ties resolve exactly as a per-query loop does.
+    Label column l lands in the columns from ``edges[l]`` on, neighbor j of row i
+    adding ``sims[i, j]``, summed in neighbor order as a running sum would, so
+    near ties resolve exactly as a per-query loop does.
     """
-    m = len(labels)
-    size = m * n_classes
-    voting = labels >= 0
-    bins = (labels + np.arange(0, size, n_classes)[:, None])[voting]
-    counts = np.bincount(bins, minlength=size).reshape(m, n_classes)
-    simsum = np.bincount(bins, weights=sims[voting], minlength=size).reshape(m, n_classes)
-    top = counts == counts.max(axis=1, keepdims=True)
-    return np.where(top, simsum, -np.inf).argmax(axis=1), counts
+    m, width = len(labels), int(edges[-1])
+    bins = (labels + (np.arange(0, m * width, width)[:, None, None] + edges[:-1])).ravel()
+    counts = np.bincount(bins, minlength=m * width).reshape(m, width)
+    return counts, np.bincount(bins, np.repeat(sims, labels.shape[2]), m * width).reshape(m, width)
+
+
+def _pick(counts: np.ndarray, simsum: np.ndarray):
+    """Per row: the winner (top count, larger similarity sum, lower class), and the top count."""
+    top = counts.max(axis=1, keepdims=True)
+    return np.where(counts == top, simsum, -np.inf).argmax(axis=1), top
+
+
+def _vote(labels: np.ndarray, sims: np.ndarray, n_classes: int):
+    """Winner and (m, n_classes) counts per row of (m, k) labels in [0, n_classes)."""
+    counts, simsum = _tally(labels[:, :, None], sims, (0, n_classes))
+    return _pick(counts, simsum)[0], counts
 
 
 def _nonzero(counts: np.ndarray) -> dict[int, int]:
-    return {int(c): int(counts[c]) for c in np.flatnonzero(counts)}
+    return {c: n for c, n in enumerate(counts.tolist()) if n}
 
 
 def vote_mode(labels, sims) -> int:
@@ -92,8 +101,9 @@ def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy | None = None) ->
     """Classify the rows of ``Q`` (m x dim), retrieving each query's neighbors once.
 
     The flat leaf vote and, given ``tax``, the coarse-to-fine walk of the
-    module docstring count the same k neighbors. Without ``tax`` the flat
-    tally spans the bank's leaf indices.
+    module docstring count the same k neighbors, in one tally over the
+    nodes of all three levels. Without ``tax`` the flat tally spans the
+    bank's leaf indices.
     """
     if tax is not None and bank.taxonomy_digest != tax.digest:
         raise InferenceError("bank was built against a different taxonomy (digest mismatch)")
@@ -101,37 +111,36 @@ def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy | None = None) ->
     if Q.shape == (0,):
         Q = Q.reshape(0, bank.dim)
     indices, sims = search(bank, Q, k)
-    labels = bank.labels[indices].astype(np.int64)
-    n_leaves = tax.leaf_count if tax is not None else int(bank.labels[:, 2].max(initial=0)) + 1
-    flat = _vote(labels[:, :, 2], sims, n_leaves)
+    labels = bank.labels[indices]
     if tax is None:
-        return BatchPrediction(*flat)
-    if (labels.max(axis=(0, 1), initial=0) >= tax.sizes).any():
+        return BatchPrediction(*_vote(labels[:, :, 2], sims, int(bank.label_max[2]) + 1))
+    if (bank.label_max >= tax.sizes).any():
         raise InferenceError("bank label index out of range for the taxonomy")
 
-    y, c = _vote(labels[:, :, 0], sims, tax.node_count(1))
-    ys, counts, fallback = [y], [c], np.zeros((len(Q), 3), dtype=bool)
+    e = tax.edges.tolist()
+    counts, simsum = _tally(labels, sims, tax.edges)
+    flat = _pick(counts[:, e[2]:], simsum[:, e[2]:])[0], counts[:, e[2]:]
+    ys, tallies = [_pick(counts[:, :e[1]], simsum[:, :e[1]])[0]], [counts[:, :e[1]]]
+    fallback = np.zeros((len(Q), 3), dtype=bool)
     for level in (2, 3):
-        parent = tax.parents(level)
-        col = labels[:, :, level - 1]
-        under = parent[col] == ys[-1][:, None]
-        y, c = _vote(np.where(under, col, -1), sims, len(parent))
-        lost = np.flatnonzero(~under.any(axis=1))
-        for node in dict.fromkeys(ys[-1][lost].tolist()):  # re-query the children's entries
-            rows = np.flatnonzero(parent[bank.labels[:, level - 1]] == node)
-            if rows.size == 0:
-                raise InferenceError(
-                    f"no bank entry under predicted level-{level - 1} node "
-                    f"{tax.name_of(level - 1, node)!r}"
-                )
-            sel = lost[ys[-1][lost] == node]
-            fb_indices, fb_sims = search(bank, Q[sel], k, rows)
-            fb_labels = bank.labels[fb_indices, level - 1].astype(np.int64)
-            y[sel], c[sel] = _vote(fb_labels, fb_sims, len(parent))
-            fallback[sel, level - 1] = True
+        parent, block = tax.parents(level), np.s_[:, e[level - 1]:e[level]]
+        # a neighbor votes here only for a child of the predicted parent
+        c = np.where(parent == ys[-1][:, None], counts[block], 0)
+        y, top = _pick(c, simsum[block])
+        if not top.all():  # some rows have no neighbor under their parent
+            lost = np.flatnonzero(top == 0)
+            for node in dict.fromkeys(ys[-1][lost].tolist()):  # re-query its children's entries
+                rows = np.flatnonzero(parent[bank.labels[:, level - 1]] == node)
+                if rows.size == 0:
+                    raise InferenceError(f"no bank entry under predicted level-{level - 1} "
+                                         f"node {tax.name_of(level - 1, node)!r}")
+                sel = lost[ys[-1][lost] == node]
+                fb_indices, fb_sims = search(bank, Q[sel], k, rows)
+                y[sel], c[sel] = _vote(bank.labels[fb_indices, level - 1], fb_sims, len(parent))
+                fallback[sel, level - 1] = True
         ys.append(y)
-        counts.append(c)
-    return BatchPrediction(*flat, *ys, fallback, tuple(counts))
+        tallies.append(c)
+    return BatchPrediction(*flat, *ys, fallback, tuple(tallies))
 
 
 def predict_hierarchical(

@@ -80,9 +80,9 @@ def parse_synth_config(text: str) -> SynthConfig:
     """Parse a ``key = value`` config file into a SynthConfig.
 
     Recognized keys: dim, counts (comma- or space-separated integers),
-    lineage_separation, leaf_separation, noise_sigma, seed. ``#`` starts a
-    comment; omitted keys keep their defaults; a repeated key wins with its
-    last value.
+    lineage_separation, leaf_separation, noise_sigma (finite numbers), seed
+    (>= 0). ``#`` starts a comment; omitted keys keep their defaults; a
+    repeated key wins with its last value.
     """
     kwargs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -103,8 +103,12 @@ def parse_synth_config(text: str) -> SynthConfig:
                 )
             elif key in ("lineage_separation", "leaf_separation", "noise_sigma"):
                 kwargs[key] = float(value)
+                if not np.isfinite(kwargs[key]):
+                    raise SynthError(f"line {lineno}: {key} must be finite, got {value!r}")
             elif key == "seed":
                 kwargs["seed"] = int(value)
+                if kwargs["seed"] < 0:
+                    raise SynthError(f"line {lineno}: seed must be >= 0, got {value!r}")
             else:
                 raise SynthError(f"line {lineno}: unknown key {key!r}")
         except ValueError:

@@ -50,7 +50,8 @@ class Taxonomy:
     """Immutable three-level tree with parent/child/ancestor lookups.
 
     The tree is kept as read-only index arrays: ``paths`` (row l: leaf l's
-    lineage, group and leaf), ``sizes`` (nodes per level) and ``parents``.
+    lineage, group and leaf), ``sizes`` (nodes per level), ``edges`` (their running
+    sum from 0; level l owns ``edges[l - 1]:edges[l]`` of all nodes) and ``parents``.
     Instances are only built through :func:`load_taxonomy`, which validates
     the single-parent and coverage invariants. Safe for concurrent reads.
     """
@@ -69,7 +70,8 @@ class Taxonomy:
         self._parents = (p2, p3)
         self.paths = np.column_stack([p2[p3], p3, np.arange(len(p3))])
         self.sizes = np.array([len(level_names) for level_names in names])
-        for table in (p2, p3, self.paths, self.sizes):
+        self.edges = np.concatenate(([0], np.cumsum(self.sizes)))
+        for table in (p2, p3, self.paths, self.sizes, self.edges):
             table.flags.writeable = False
         self._digest = self._compute_digest()
 

@@ -26,6 +26,13 @@ from hierknn import (
 from conftest import bank_from_arrays, unit_rows
 
 
+def with_columns(bank: FeatureBank, labels=None, vectors=None) -> FeatureBank:
+    """The bank rebuilt through the constructor with other label or vector columns."""
+    return FeatureBank(bank.dim, bank.ids,
+                       bank.labels if labels is None else labels,
+                       bank.vectors if vectors is None else vectors, bank.taxonomy_digest)
+
+
 def roundtrip(bank: FeatureBank, tax) -> FeatureBank:
     buf = io.BytesIO()
     bank_save(bank, buf)
@@ -229,6 +236,21 @@ class TestBuild:
             bank_build(recs, tax)
 
 
+class TestColumns:
+    def test_columns_are_read_only_views(self, tax):
+        """Writing to either column raises, so ``max_norm`` and ``label_max``
+        cannot go stale; the caller's arrays are neither copied nor frozen."""
+        labels = tax.paths[[0, 12]].astype(np.uint16)
+        vectors = unit_rows(np.random.default_rng(8), 2, 4)
+        bank = FeatureBank(4, ["a", "b"], labels, vectors, tax.digest)
+        assert bank.label_max.tolist() == tax.paths[12].tolist()
+        for column in (bank.labels, bank.vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 1
+        assert np.shares_memory(bank.labels, labels) and np.shares_memory(bank.vectors, vectors)
+        labels[0, 0] = vectors[0, 0] = 1  # the caller's arrays stay writable
+
+
 class TestQuerySet:
     def test_duplicate_id_named(self):
         with pytest.raises(ManifestError, match="duplicate id 'b'"):
@@ -405,7 +427,9 @@ class TestSerialization:
 
     def test_out_of_range_label_rejected(self, tax):
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(4), 1, 4), [0])
-        bank.labels[0, 2] = tax.leaf_count
+        labels = bank.labels.copy()
+        labels[0, 2] = tax.leaf_count
+        bank = with_columns(bank, labels=labels)
         buf = io.BytesIO()
         bank_save(bank, buf)
         buf.seek(0)
@@ -491,7 +515,9 @@ class TestLoadRejectsBadInput:
 
     def test_nan_vector_named(self, tax):
         bank, _ = self.saved(tax)
-        bank.vectors[1, 2] = np.nan
+        vectors = bank.vectors.copy()
+        vectors[1, 2] = np.nan
+        bank = with_columns(bank, vectors=vectors)
         buf = io.BytesIO()
         bank_save(bank, buf)
         with pytest.raises(BankFormatError, match="'bb': non-finite"):
@@ -517,8 +543,10 @@ class TestLoadRejectsBadInput:
 
     def test_out_of_range_label_names_entry_and_level(self, tax):
         bank, _ = self.saved(tax)
-        bank.labels[2, 0] = tax.node_count(1)
-        bank.labels[1, 1] = tax.node_count(2) + 7
+        labels = bank.labels.copy()
+        labels[2, 0] = tax.node_count(1)
+        labels[1, 1] = tax.node_count(2) + 7
+        bank = with_columns(bank, labels=labels)
         buf = io.BytesIO()
         bank_save(bank, buf)
         limit = tax.node_count(2) + 7

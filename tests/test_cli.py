@@ -297,6 +297,17 @@ class TestBadInputs:
             proc = run([*args, "--queries", "bad.jsonl", "--out", out], tmp_path)
             self.assert_data_error(proc, repr(qid), tmp_path / out)
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "line 8: seed must be >= 0, got '-1'"),
+        ("noise_sigma = nan", "line 8: noise_sigma must be finite, got 'nan'"),
+        ("lineage_separation = inf", "line 8: lineage_separation must be finite, got 'inf'"),
+    ], ids=["negative-seed", "nan-noise", "inf-separation"])
+    def test_out_of_range_synth_config_names_key_and_line(self, tmp_path, line, message):
+        (tmp_path / "synth.cfg").write_text(SMALL_CONFIG + line + "\n", encoding="utf-8")
+        proc = run(["synth", "--config", "synth.cfg", "--out", "b.hbnk", "--queries", "q.jsonl"],
+                   tmp_path)
+        self.assert_data_error(proc, f"error: {message}\n", tmp_path / "b.hbnk")
+
     def classify_then_edit(self, tmp_path, edit):
         """Predictions for the synth queries with edit(predictions) applied."""
         make_synth(tmp_path)

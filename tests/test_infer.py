@@ -272,6 +272,43 @@ class TestClassifyBatch:
                 fallbacks += any(fallback)
         assert checked > 300 and fallbacks > 0
 
+    def test_edge_shapes_match_reference_walk(self, tax):
+        """Empty and one-row blocks, and k from 1 to twice the bank, on tie-heavy banks."""
+        rng = np.random.default_rng(3005)
+        fallbacks = 0
+        for case in range(12):
+            if case % 2 == 0:
+                crossed = crossed_label_bank(tax, rng, n_near=int(rng.integers(2, 7)))
+                bank = FeatureBank(6, crossed.ids, crossed.labels,
+                                   rounded(crossed.vectors), tax.digest)
+            else:
+                vectors = rounded(unit_rows(rng, int(rng.integers(2, 12)), 6))
+                vectors[-1] = vectors[0]
+                bank = bank_from_arrays(tax, vectors, list(rng.integers(0, 13, len(vectors))))
+            queries = rounded(unit_rows(rng, 6, 6)).astype(np.float64)
+            for k in (1, 3, len(bank), len(bank) + 1, 2 * len(bank)):
+                empty = classify_batch(bank, queries[:0], k, tax)
+                assert empty.flat_counts.shape == (0, tax.leaf_count)
+                assert [c.shape for c in empty.counts] == [(0, n) for n in tax.sizes]
+                for q in queries[queries.any(axis=1)]:
+                    res = classify_batch(bank, q[None], k, tax)
+                    path, tallies, fallback, flat = reference_walk(bank, q, k, tax)
+                    assert [res.y1[0], res.y2[0], res.y3[0]] == path, (case, k)
+                    assert res.fallback[0].tolist() == fallback
+                    assert [as_dict(c[0]) for c in res.counts] == tallies
+                    assert (res.flat_leaf[0], as_dict(res.flat_counts[0])) == flat
+                    fallbacks += any(fallback)
+        assert fallbacks > 0
+
+    def test_out_of_range_label_rejected_anywhere_in_bank(self, tax):
+        """A label beyond the tree is an error even on an entry no query retrieves."""
+        bank = angled_bank(tax, ["SNE", "LY", "MO"])
+        labels = bank.labels.copy()
+        labels[2, 1] = tax.node_count(2)
+        bad = FeatureBank(bank.dim, bank.ids, labels, bank.vectors, tax.digest)
+        with pytest.raises(InferenceError, match="out of range for the taxonomy"):
+            classify_batch(bad, [axis_query()], 1, tax)
+
     def test_one_row_wrappers_agree_with_batch(self, tax):
         rng = np.random.default_rng(3004)
         bank = crossed_label_bank(tax, rng, n_near=5)

@@ -82,6 +82,12 @@ class TestDefaultTree:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 
+    def test_edges_are_cumulative_sizes_and_read_only(self, tax):
+        """Level l owns columns edges[l - 1]:edges[l] of one table over every node."""
+        assert tax.edges.tolist() == [0, 3, 9, 22]
+        with pytest.raises(ValueError, match="read-only"):
+            tax.edges[3] = 0
+
     def test_index_name_round_trip(self, tax):
         for level in (1, 2, 3):
             for i, name in enumerate(tax.names(level)):
