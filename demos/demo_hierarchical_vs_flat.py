@@ -14,11 +14,10 @@ from hierknn import (
     ShiftSpec,
     SynthConfig,
     apply_shift,
+    classify_batch,
     default_taxonomy,
     generate,
     macro_f1,
-    predict_flat,
-    predict_hierarchical,
 )
 
 
@@ -39,23 +38,20 @@ def main() -> None:
     )
     print(f"bank: {len(bank)} entries, dim {bank.dim}; queries: {len(queries)}")
 
-    truth, flat_preds, hier_preds = [], [], []
+    res = classify_batch(bank, queries.vectors, args.k, tax)
+    truth = [tax.index_of(3, label) for label in queries.labels]
+    flat_preds, hier_preds = res.flat_leaf.tolist(), res.y3.tolist()
+    fallback_hits = int(res.fallback.any(axis=1).sum())
     disagreements = 0
-    fallback_hits = 0
-    for qid, label, q in zip(queries.ids, queries.labels, queries.vectors):
-        flat_leaf = predict_flat(bank, q, args.k)
-        hier = predict_hierarchical(bank, q, args.k, tax)
-        truth.append(tax.index_of(3, label))
-        flat_preds.append(flat_leaf)
-        hier_preds.append(hier.y3)
-        fallback_hits += any(hier.fallback_used)
-        if flat_leaf != hier.y3 and disagreements < 5:
+    for qid, label, flat_leaf, y1, y3 in zip(queries.ids, queries.labels, flat_preds,
+                                             res.y1.tolist(), hier_preds):
+        if flat_leaf != y3 and disagreements < 5:
             disagreements += 1
             print(
                 f"  query {qid}: truth={label}"
                 f" flat={tax.name_of(3, flat_leaf)}"
-                f" hier={tax.name_of(3, hier.y3)}"
-                f" (lineage vote: {tax.name_of(1, hier.y1)})"
+                f" hier={tax.name_of(3, y3)}"
+                f" (lineage vote: {tax.name_of(1, y1)})"
             )
 
     n_classes = tax.leaf_count

@@ -28,7 +28,6 @@ from .ensemble import (
     MemberOutputs,
     ablation_grid,
     combine_members,
-    ensemble_vote,
     member_outputs,
     run_ensemble,
 )
@@ -46,13 +45,10 @@ from .infer import (
     BatchPrediction,
     HierPrediction,
     classify_batch,
-    flat_vote,
-    predict_flat,
     predict_hierarchical,
     vote_margin,
-    vote_mode,
 )
-from .knn import DEFAULT_K, NeighborSet, cosine_similarity, retrieve, search, top_k, top_k_filtered
+from .knn import DEFAULT_K, search
 from .metrics import (
     ConfusionMatrix,
     F1_CONVENTION,

@@ -46,29 +46,17 @@ class EnsembleConfig:
                 raise InferenceError(f"member dim mismatch ({b.dim} vs {dim})")
 
 
-def ensemble_vote(member_preds, member_margins, policy: str = "similarity-margin") -> int:
-    """Most frequent leaf across members, with deterministic tie handling.
-
-    ``similarity-margin`` breaks a count tie by the larger summed margin
-    among the tied leaves, then by the earliest predicting member;
-    ``first-member`` goes straight to the earliest predicting member.
-    One-query form of :func:`combine_members`.
-    """
-    preds = [int(p) for p in member_preds]
-    margins = [float(m) for m in member_margins]
-    if not preds:
-        raise ValueError("empty member prediction list")
-    if len(preds) != len(margins):
-        raise ValueError("preds and margins are not aligned")
-    return combine_members([MemberOutputs((p,), (m,)) for p, m in zip(preds, margins)], policy)[0]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemberOutputs:
-    """One member's per-query leaves and margins, reusable across ensemble sizes."""
+    """One member's per-query leaf and margin columns, reusable across ensemble sizes."""
 
-    leaves: tuple[int, ...]
-    margins: tuple[float, ...]
+    leaves: np.ndarray
+    margins: np.ndarray
+
+    def __post_init__(self):
+        if len(self.leaves) != len(self.margins):
+            raise ValueError(f"leaves and margins are not aligned "
+                             f"({len(self.leaves)} vs {len(self.margins)} queries)")
 
 
 def _outputs(res: BatchPrediction, k: int, flat: bool) -> MemberOutputs:
@@ -77,7 +65,7 @@ def _outputs(res: BatchPrediction, k: int, flat: bool) -> MemberOutputs:
     ranked = np.sort(counts, axis=1)
     runner_up = ranked[:, -2] if ranked.shape[1] > 1 else 0
     margins = (ranked[:, -1] - runner_up) / k
-    return MemberOutputs(tuple(leaves.tolist()), tuple(margins.tolist()))
+    return MemberOutputs(leaves, margins)
 
 
 def member_outputs(
@@ -88,11 +76,13 @@ def member_outputs(
 
 
 def combine_members(members: list[MemberOutputs], policy: str = "similarity-margin") -> list[int]:
-    """Ensemble-vote each query across the given members, in member-index order.
+    """Ensemble-vote each query across the given members: the most frequent leaf.
 
-    All queries are voted in one pass over (queries, members) arrays, by the
-    routine :func:`~hierknn.infer.classify_batch` votes with; the tie rules
-    are those of :func:`ensemble_vote`.
+    ``similarity-margin`` breaks a count tie by the larger summed margin
+    among the tied leaves, then by the earliest predicting member;
+    ``first-member`` goes straight to the earliest predicting member. All
+    queries are voted in one pass over (queries, members) arrays, by the
+    routine :func:`~hierknn.infer.classify_batch` votes with.
     """
     if not members:
         raise ValueError("no members")
@@ -101,12 +91,12 @@ def combine_members(members: list[MemberOutputs], policy: str = "similarity-marg
         raise ValueError("members scored different query counts")
     if policy not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {policy!r}")
-    leaves = np.array([m.leaves for m in members]).T
+    leaves = np.stack([m.leaves for m in members], axis=1)
     # each member's leaf is coded by the first member that voted for it, so
     # _vote's "lower code wins a full tie" is "the earliest member wins"
     codes = (leaves[:, :, None] == leaves[:, None, :]).argmax(axis=2)
     if policy == "similarity-margin":
-        margins = np.array([m.margins for m in members], dtype=np.float64).T
+        margins = np.stack([m.margins for m in members], axis=1)
     else:
         margins = np.zeros(leaves.shape)
     winners, _ = _vote(codes, margins, len(members))

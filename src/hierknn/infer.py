@@ -11,7 +11,7 @@ records that the fallback fired.
 :func:`classify_batch` is the one entry point. It retrieves each query's
 neighbors once and tallies them once, over the nodes of all three levels
 (``Taxonomy.edges``); every vote, the flat one included, picks from that
-tally. The per-query functions are one-row wrappers around it.
+tally. :func:`predict_hierarchical` is its one-row form.
 """
 from __future__ import annotations
 
@@ -86,17 +86,6 @@ def _nonzero(counts: np.ndarray) -> dict[int, int]:
     return {c: n for c, n in enumerate(counts.tolist()) if n}
 
 
-def vote_mode(labels, sims) -> int:
-    """Most frequent label; ties go to the larger summed similarity, then the lower index."""
-    labels = np.asarray(labels, dtype=np.int64).reshape(1, -1)
-    if labels.size == 0:
-        raise ValueError("empty label list")
-    if labels.min() < 0:
-        raise ValueError("labels must be >= 0")
-    sims = np.asarray(sims, dtype=np.float64).reshape(1, -1)
-    return int(_vote(labels, sims, int(labels.max()) + 1)[0][0])
-
-
 def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy | None = None) -> BatchPrediction:
     """Classify the rows of ``Q`` (m x dim), retrieving each query's neighbors once.
 
@@ -153,18 +142,6 @@ def predict_hierarchical(
         tuple(_nonzero(c[0]) for c in res.counts),
         tuple(res.fallback[0].tolist()),
     )
-
-
-def flat_vote(bank: FeatureBank, q, k: int) -> tuple[int, dict[int, int]]:
-    """Leaf-level vote over the raw neighborhood; returns (leaf, tally)."""
-    res = classify_batch(bank, np.asarray(q)[None], k)
-    return int(res.flat_leaf[0]), _nonzero(res.flat_counts[0])
-
-
-def predict_flat(bank: FeatureBank, q, k: int) -> int:
-    """Unconstrained leaf prediction: majority vote over the k nearest neighbors."""
-    leaf, _ = flat_vote(bank, q, k)
-    return leaf
 
 
 def vote_margin(tally: dict[int, int], k: int) -> float:

@@ -9,8 +9,6 @@ reproducible across platforms and BLAS thread counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bank import FeatureBank
@@ -21,27 +19,6 @@ DEFAULT_K = 7
 _EPS32 = 2.0 ** -24  # unit roundoff of float32
 _QUERY_BLOCK = 32  # queries per f32 GEMM: enough to repay its packing of the bank
 _SCORE_BYTES = 1 << 22  # cap on one GEMM's (queries x rows) f32 score block
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Top-k retrieval result; similarities descending, ties by ascending index."""
-
-    entry_indices: tuple[int, ...]
-    similarities: tuple[float, ...]
-    k_requested: int
-
-    def __len__(self) -> int:
-        return len(self.entry_indices)
-
-
-def cosine_similarity(a, b) -> float:
-    """Dot product of two unit-norm vectors, accumulated in float64."""
-    av = np.asarray(a)
-    bv = np.asarray(b)
-    if av.shape != bv.shape:
-        raise ValueError(f"dim mismatch ({av.shape} vs {bv.shape})")
-    return float(np.dot(av.astype(np.float64), bv.astype(np.float64)))
 
 
 def _select(sims: np.ndarray, k: int) -> np.ndarray:
@@ -115,40 +92,3 @@ def search(bank: FeatureBank, Q, k: int, rows=None) -> tuple[np.ndarray, np.ndar
             indices[i], sims[i] = short[order], exact[order]
     return (indices if rows is None else rows[indices]), sims
 
-
-def retrieve(bank: FeatureBank, q, k: int, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """Entry indices and similarities of the ``k`` entries most similar to ``q``.
-
-    The one-query form of :func:`search`: similarities descend and ties go
-    to the lower entry index. ``rows``, an ascending array of entry indices,
-    restricts the scan to those entries. Fewer than ``k`` results come back
-    when fewer entries are scanned.
-    """
-    qv = np.asarray(q)
-    if qv.shape != (bank.dim,):
-        raise ValueError(f"query shape {qv.shape} != ({bank.dim},)")
-    indices, sims = search(bank, qv[None], k, rows)
-    return indices[0], sims[0]
-
-
-def top_k(bank: FeatureBank, q, k: int) -> NeighborSet:
-    """The ``k`` bank entries most cosine-similar to ``q`` (all of them if k exceeds the bank)."""
-    indices, sims = retrieve(bank, q, k)
-    return NeighborSet(tuple(indices.tolist()), tuple(sims.tolist()), k)
-
-
-def top_k_filtered(
-    bank: FeatureBank, q, k: int, level: int, allowed
-) -> NeighborSet:
-    """Top-k among entries whose level-``level`` label is in ``allowed``.
-
-    Returns an empty NeighborSet when no entry qualifies.
-    """
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2, or 3, got {level}")
-    allowed_arr = np.asarray(sorted(set(int(a) for a in allowed)), dtype=np.int64)
-    if allowed_arr.size == 0:
-        raise ValueError("allowed node set is empty")
-    rows = np.flatnonzero(np.isin(bank.labels[:, level - 1], allowed_arr))
-    indices, sims = retrieve(bank, q, k, rows)
-    return NeighborSet(tuple(indices.tolist()), tuple(sims.tolist()), k)

@@ -27,6 +27,14 @@ from .taxonomy import Taxonomy
 DEFAULT_PER_LEAF_COUNTS = (60, 76, 50, 220, 600, 140, 56, 36, 72, 440, 44, 32, 100)
 
 
+class _RuleError(ValueError):
+    """A broken :class:`SynthConfig` rule; ``fields`` are the fields it names."""
+
+    def __init__(self, message: str, *fields: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     dim: int = 10
@@ -37,18 +45,24 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Every range and finiteness rule of a config, checked in one place."""
         object.__setattr__(self, "per_leaf_counts", tuple(int(c) for c in self.per_leaf_counts))
-        if self.dim < 4:
-            raise ValueError(f"dim must be >= 4, got {self.dim}")
-        if not self.lineage_separation > self.leaf_separation > 0:
-            raise ValueError(
-                "need lineage_separation > leaf_separation > 0, got "
-                f"{self.lineage_separation} and {self.leaf_separation}"
-            )
-        if self.noise_sigma <= 0:
-            raise ValueError(f"noise_sigma must be positive, got {self.noise_sigma}")
-        if any(c < 0 for c in self.per_leaf_counts):
-            raise ValueError("per-leaf counts must be >= 0")
+
+        def check(ok, rule: str, *fields: str):
+            if not ok:
+                got = " and ".join(f"'{getattr(self, f)}'" for f in fields)
+                raise _RuleError(f"{rule}, got {got}", *fields)
+
+        for field in ("lineage_separation", "leaf_separation", "noise_sigma"):
+            check(np.isfinite(getattr(self, field)), f"{field} must be finite", field)
+        check(self.seed >= 0, "seed must be >= 0", "seed")
+        check(self.dim >= 4, "dim must be >= 4", "dim")
+        check(self.lineage_separation > self.leaf_separation > 0,
+              "need lineage_separation > leaf_separation > 0",
+              "lineage_separation", "leaf_separation")
+        check(self.noise_sigma > 0, "noise_sigma must be positive", "noise_sigma")
+        check(min(self.per_leaf_counts, default=0) >= 0, "per-leaf counts must be >= 0",
+              "per_leaf_counts")
 
 
 @dataclass(frozen=True)
@@ -76,15 +90,28 @@ class ShiftSpec:
 MODERATE_SHIFT = ShiftSpec(rotation_angle=0.3, bias=0.1, extra_noise=0.1)
 
 
+_PARSERS = {
+    "dim": int,
+    "per_leaf_counts": lambda value: tuple(int(tok) for tok in value.replace(",", " ").split()),
+    "lineage_separation": float,
+    "leaf_separation": float,
+    "noise_sigma": float,
+    "seed": int,
+}
+
+
 def parse_synth_config(text: str) -> SynthConfig:
     """Parse a ``key = value`` config file into a SynthConfig.
 
     Recognized keys: dim, counts (comma- or space-separated integers),
-    lineage_separation, leaf_separation, noise_sigma (finite numbers), seed
-    (>= 0). ``#`` starts a comment; omitted keys keep their defaults; a
-    repeated key wins with its last value.
+    lineage_separation, leaf_separation, noise_sigma and seed. ``#`` starts
+    a comment; omitted keys keep their defaults; a repeated key wins with
+    its last value. The values are checked by :class:`SynthConfig`, and its
+    error is prefixed with the line of the key it names, or of the later
+    one when it names two.
     """
     kwargs: dict = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,29 +121,19 @@ def parse_synth_config(text: str) -> SynthConfig:
             raise SynthError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key = key.strip()
         value = value.strip()
+        field = "per_leaf_counts" if key == "counts" else key
+        if field not in _PARSERS:
+            raise SynthError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "dim":
-                kwargs["dim"] = int(value)
-            elif key in ("counts", "per_leaf_counts"):
-                kwargs["per_leaf_counts"] = tuple(
-                    int(tok) for tok in value.replace(",", " ").split()
-                )
-            elif key in ("lineage_separation", "leaf_separation", "noise_sigma"):
-                kwargs[key] = float(value)
-                if not np.isfinite(kwargs[key]):
-                    raise SynthError(f"line {lineno}: {key} must be finite, got {value!r}")
-            elif key == "seed":
-                kwargs["seed"] = int(value)
-                if kwargs["seed"] < 0:
-                    raise SynthError(f"line {lineno}: seed must be >= 0, got {value!r}")
-            else:
-                raise SynthError(f"line {lineno}: unknown key {key!r}")
+            kwargs[field] = _PARSERS[field](value)
         except ValueError:
             raise SynthError(f"line {lineno}: bad value {value!r} for {key!r}") from None
+        lines[field] = lineno
     try:
         return SynthConfig(**kwargs)
-    except ValueError as exc:
-        raise SynthError(str(exc)) from None
+    except _RuleError as exc:
+        at = max(lines.get(f, 0) for f in exc.fields)
+        raise SynthError(f"line {at}: {exc}" if at else str(exc)) from None
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:

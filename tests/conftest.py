@@ -53,7 +53,7 @@ def angled_bank(tax, leaf_names: list[str], dim: int = 4, step: float = 0.01):
 
     Entry i lies at angle step*(i+1) from e1 inside the (e1, e2) plane, so
     cosine similarity to the query [1, 0, ...] strictly decreases with the
-    entry index. top_k with k = len(leaf_names) therefore returns the
+    entry index. search with k = len(leaf_names) therefore returns the
     entries in declaration order, which makes vote outcomes easy to stage.
     """
     records = []

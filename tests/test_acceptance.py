@@ -39,7 +39,7 @@ from hierknn import (
     macro_f1,
     make_toy_dataset,
     predict_hierarchical,
-    top_k,
+    search,
     total_loss,
     train_toy,
 )
@@ -62,15 +62,15 @@ def test_criterion_1_retrieval_matches_brute_force_oracle(tax):
         bank = bank_from_arrays(tax, vectors, list(rng.integers(0, 13, n)))
         q = unit_rows(rng, 1, dim)[0].astype(np.float64)
 
-        hits = top_k(bank, q, k)
+        indices, similarities = search(bank, q[None], k)
         sims = {
             i: math.fsum(float(a) * float(b) for a, b in zip(bank.vectors[i], q))
             for i in range(n)
         }
         oracle = sorted(sims, key=lambda i: (-sims[i], i))[:k]
-        assert list(hits.entry_indices) == oracle, f"case {case} diverged"
+        assert indices[0].tolist() == oracle, f"case {case} diverged"
         np.testing.assert_allclose(
-            hits.similarities, [sims[i] for i in oracle], atol=1e-9
+            similarities[0], [sims[i] for i in oracle], atol=1e-9
         )
     assert time.perf_counter() - start < 10.0
 

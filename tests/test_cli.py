@@ -301,7 +301,14 @@ class TestBadInputs:
         ("seed = -1", "line 8: seed must be >= 0, got '-1'"),
         ("noise_sigma = nan", "line 8: noise_sigma must be finite, got 'nan'"),
         ("lineage_separation = inf", "line 8: lineage_separation must be finite, got 'inf'"),
-    ], ids=["negative-seed", "nan-noise", "inf-separation"])
+        ("dim = 3", "line 8: dim must be >= 4, got '3'"),
+        ("noise_sigma = -1", "line 8: noise_sigma must be positive, got '-1.0'"),
+        ("leaf_separation = 9",
+         "line 8: need lineage_separation > leaf_separation > 0, got '3.0' and '9.0'"),
+        ("lineage_separation = 1",  # leaf_separation, the other key, is on line 5
+         "line 8: need lineage_separation > leaf_separation > 0, got '1.0' and '1.4'"),
+    ], ids=["negative-seed", "nan-noise", "inf-separation", "small-dim", "negative-noise",
+            "leaf-above-lineage", "lineage-below-leaf"])
     def test_out_of_range_synth_config_names_key_and_line(self, tmp_path, line, message):
         (tmp_path / "synth.cfg").write_text(SMALL_CONFIG + line + "\n", encoding="utf-8")
         proc = run(["synth", "--config", "synth.cfg", "--out", "b.hbnk", "--queries", "q.jsonl"],

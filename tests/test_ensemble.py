@@ -12,11 +12,8 @@ from hierknn import (
     ablation_grid,
     classify_batch,
     combine_members,
-    ensemble_vote,
-    flat_vote,
     load_taxonomy,
     member_outputs,
-    predict_flat,
     predict_hierarchical,
     run_ensemble,
     vote_margin,
@@ -27,34 +24,38 @@ from conftest import bank_from_arrays, crossed_label_bank, unit_rows
 
 def random_outputs(rng, n_members: int, n_queries: int) -> list[MemberOutputs]:
     return [
-        MemberOutputs(
-            tuple(int(x) for x in rng.integers(0, 13, n_queries)),
-            tuple(float(x) for x in rng.random(n_queries)),
-        )
+        MemberOutputs(rng.integers(0, 13, n_queries), rng.random(n_queries))
         for _ in range(n_members)
     ]
+
+
+def vote_one(member_preds, member_margins, policy: str = "similarity-margin") -> int:
+    """One query's vote: each member a one-query ``MemberOutputs``, through ``combine_members``."""
+    members = [MemberOutputs(np.array([p]), np.array([m]))
+               for p, m in zip(member_preds, member_margins)]
+    return combine_members(members, policy)[0]
 
 
 class TestVote:
     def test_strict_majority(self, tax):
         bl, ly = tax.index_of(3, "BL"), tax.index_of(3, "LY")
-        assert ensemble_vote([bl, bl, ly], [0.2, 0.2, 0.9]) == bl
+        assert vote_one([bl, bl, ly], [0.2, 0.2, 0.9]) == bl
 
     def test_single_member_identity(self, tax):
         sne = tax.index_of(3, "SNE")
-        assert ensemble_vote([sne], [0.3]) == sne
+        assert vote_one([sne], [0.3]) == sne
 
     def test_count_tie_broken_by_margin(self, tax):
         bl, ly = tax.index_of(3, "BL"), tax.index_of(3, "LY")
-        assert ensemble_vote([bl, ly], [0.12, 0.30]) == ly
-        assert ensemble_vote([bl, ly], [0.30, 0.12]) == bl
+        assert vote_one([bl, ly], [0.12, 0.30]) == ly
+        assert vote_one([bl, ly], [0.30, 0.12]) == bl
 
     def test_full_tie_falls_to_lower_member_index(self):
-        assert ensemble_vote([9, 4], [0.5, 0.5]) == 9
-        assert ensemble_vote([4, 9], [0.5, 0.5]) == 4
+        assert vote_one([9, 4], [0.5, 0.5]) == 9
+        assert vote_one([4, 9], [0.5, 0.5]) == 4
 
     def test_first_member_policy(self):
-        assert ensemble_vote([9, 4], [0.1, 0.9], policy="first-member") == 9
+        assert vote_one([9, 4], [0.1, 0.9], policy="first-member") == 9
 
     def test_hand_vote_table(self):
         """Three disagreeing members resolved case by case by hand."""
@@ -65,15 +66,15 @@ class TestVote:
             (([1, 2, 3], [0.2, 0.2, 0.2]), 1),
         ]
         for (preds, margins), want in cases:
-            assert ensemble_vote(preds, margins) == want
+            assert vote_one(preds, margins) == want
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="empty"):
-            ensemble_vote([], [])
+        with pytest.raises(ValueError, match="no members"):
+            combine_members([])
         with pytest.raises(ValueError, match="aligned"):
-            ensemble_vote([1, 2], [0.5])
+            MemberOutputs(np.array([1, 2]), np.array([0.5]))
         with pytest.raises(ValueError, match="tie policy"):
-            ensemble_vote([1], [0.5], policy="coin-flip")
+            vote_one([1], [0.5], policy="coin-flip")
 
 
 class TestCombine:
@@ -91,8 +92,8 @@ class TestCombine:
     def test_unanimous_members_keep_the_leaf(self):
         """Seven members agreeing on every query cannot be outvoted."""
         rng = np.random.default_rng(2)
-        leaves = tuple(int(x) for x in rng.integers(0, 13, 20))
-        members = [MemberOutputs(leaves, tuple(rng.random(20))) for _ in range(7)]
+        leaves = rng.integers(0, 13, 20)
+        members = [MemberOutputs(leaves, rng.random(20)) for _ in range(7)]
         assert combine_members(members) == list(leaves)
 
     def test_permutation_robustness(self):
@@ -109,7 +110,7 @@ class TestCombine:
         for _ in range(20):
             members = random_outputs(rng, int(rng.integers(1, 6)), 10)
             base = combine_members(members)
-            extra = MemberOutputs(tuple(base), tuple(rng.random(10)))
+            extra = MemberOutputs(np.array(base), rng.random(10))
             assert combine_members(members + [extra]) == base
 
     @staticmethod
@@ -136,13 +137,12 @@ class TestCombine:
             leaves = rng.choice(values, size=(n_members, n))
             k = int(rng.choice([3, 7, 10, 35]))
             margins = rng.integers(0, k + 1, size=(n_members, n)) / k
-            members = [MemberOutputs(tuple(l.tolist()), tuple(m.tolist()))
-                       for l, m in zip(leaves, margins)]
+            members = [MemberOutputs(l, m) for l, m in zip(leaves, margins)]
             want = [self.reference_vote(leaves[:, j].tolist(), margins[:, j].tolist(), policy)
                     for j in range(n)]
             assert combine_members(members, policy) == want
             for j in range(min(n, 3)):
-                assert ensemble_vote(leaves[:, j], margins[:, j], policy) == want[j]
+                assert vote_one(leaves[:, j], margins[:, j], policy) == want[j]
 
     def test_unknown_policy_rejected(self):
         rng = np.random.default_rng(6)
@@ -156,6 +156,13 @@ class TestCombine:
         with pytest.raises(ValueError, match="query counts"):
             combine_members([a, b])
 
+    def test_misaligned_member_columns_rejected(self):
+        """A member's leaf and margin columns must cover the same queries."""
+        rng = np.random.default_rng(7)
+        for n_leaves, n_margins in ((3, 2), (0, 1), (5, 9)):
+            with pytest.raises(ValueError, match=rf"not aligned \({n_leaves} vs {n_margins} "):
+                MemberOutputs(rng.integers(0, 13, n_leaves), rng.random(n_margins))
+
 
 class TestMemberOutputs:
     def test_margins_and_leaves_match_direct_prediction(self, tax):
@@ -167,7 +174,7 @@ class TestMemberOutputs:
             assert leaf == predict_hierarchical(bank, q, 5, tax).y3
         flat = member_outputs(bank, queries, 5, tax, flat=True)
         for q, leaf in zip(queries, flat.leaves):
-            assert leaf == predict_flat(bank, q, 5)
+            assert leaf == classify_batch(bank, [q], 5).flat_leaf[0]
         assert all(0.0 <= m <= 1.0 for m in out.margins)
 
 
@@ -261,7 +268,7 @@ class TestSharedInference:
         q /= np.linalg.norm(q)
         assert q.astype(np.float32)[0] == q.astype(np.float32)[1]
         assert predict_hierarchical(bank, q, 1, tax).y3 == ly
-        assert predict_flat(bank, q, 1) == ly
+        assert classify_batch(bank, [q], 1).flat_leaf[0] == ly
         queries = QuerySet(["near-tie"], q[None])
         for flat in (False, True):
             got = run_ensemble(EnsembleConfig((bank,), k=1), queries, tax, flat=flat)
@@ -275,7 +282,8 @@ class TestSharedInference:
         flat = member_outputs(bank, queries, 9, tax, flat=True)
         for q, hm, fm in zip(queries, hier.margins, flat.margins):
             assert hm == vote_margin(predict_hierarchical(bank, q, 9, tax).tallies[2], 9)
-            assert fm == vote_margin(flat_vote(bank, q, 9)[1], 9)
+            flat_counts = classify_batch(bank, [q], 9).flat_counts[0]
+            assert fm == vote_margin({c: n for c, n in enumerate(flat_counts.tolist()) if n}, 9)
 
     def test_ablation_retrieves_each_pair_once(self, tax, monkeypatch):
         """One kernel query row per (bank, query), plus one per fallback re-query."""

@@ -11,13 +11,11 @@ from hierknn import (
     InferenceError,
     bank_build,
     classify_batch,
-    flat_vote,
     load_taxonomy,
-    predict_flat,
     predict_hierarchical,
     vote_margin,
-    vote_mode,
 )
+from hierknn.infer import _vote
 from conftest import (
     angled_bank,
     axis_query,
@@ -32,19 +30,17 @@ def consistent(tax, pred) -> bool:
 
 
 class TestVoteMode:
+    """``infer._vote`` on one row: count, then summed similarity, then the lower label."""
+
     def test_strict_majority(self):
-        assert vote_mode([4, 4, 7], [0.5, 0.5, 0.9]) == 4
+        assert _vote(np.array([[4, 4, 7]]), np.array([[0.5, 0.5, 0.9]]), 8)[0][0] == 4
 
     def test_count_tie_broken_by_similarity_sum(self):
-        assert vote_mode([4, 7], [0.9, 0.8]) == 4
-        assert vote_mode([4, 7], [0.8, 0.9]) == 7
+        assert _vote(np.array([[4, 7]]), np.array([[0.9, 0.8]]), 8)[0][0] == 4
+        assert _vote(np.array([[4, 7]]), np.array([[0.8, 0.9]]), 8)[0][0] == 7
 
     def test_full_tie_broken_by_lower_index(self):
-        assert vote_mode([7, 4], [0.5, 0.5]) == 4
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            vote_mode([], [])
+        assert _vote(np.array([[7, 4]]), np.array([[0.5, 0.5]]), 8)[0][0] == 4
 
 
 class TestVoteMargin:
@@ -85,7 +81,7 @@ class TestHierarchical:
         """3 BL against 4 spread Lymphoid leaves: flat keeps BL, levels differ."""
         bank = angled_bank(tax, ["BL", "BL", "BL", "LY", "VLY", "PLY", "PC"])
         q = axis_query()
-        flat = predict_flat(bank, q, 7)
+        flat = classify_batch(bank, [q], 7).flat_leaf[0]
         assert flat == tax.index_of(3, "BL")
         pred = predict_hierarchical(bank, q, 7, tax)
         assert pred.y1 == tax.index_of(1, "Lymphoid")
@@ -95,7 +91,7 @@ class TestHierarchical:
         bank = angled_bank(tax, ["MO", "BL", "LY"])
         pred = predict_hierarchical(bank, axis_query(), 1, tax)
         assert pred.label_path().as_tuple() == tax.path_of(tax.index_of(3, "MO")).as_tuple()
-        assert predict_flat(bank, axis_query(), 1) == tax.index_of(3, "MO")
+        assert classify_batch(bank, [axis_query()], 1).flat_leaf[0] == tax.index_of(3, "MO")
 
     def test_tallies_count_the_neighborhood(self, tax):
         bank = angled_bank(tax, ["SNE", "SNE", "SNE", "LY", "LY"])
@@ -169,7 +165,7 @@ class TestFallback:
 class TestFlat:
     def test_unanimous_leaf(self, tax):
         bank = angled_bank(tax, ["EO"] * 4)
-        assert predict_flat(bank, axis_query(), 4) == tax.index_of(3, "EO")
+        assert classify_batch(bank, [axis_query()], 4).flat_leaf[0] == tax.index_of(3, "EO")
 
     def test_agrees_with_hierarchical_when_unanimous(self, tax):
         """Shared-leaf neighborhoods collapse both predictors to that leaf."""
@@ -179,13 +175,14 @@ class TestFlat:
             n = int(rng.integers(3, 9))
             bank = bank_from_arrays(tax, unit_rows(rng, n, 5), [leaf] * n)
             q = unit_rows(rng, 1, 5)[0]
-            assert predict_flat(bank, q, n) == leaf
+            assert classify_batch(bank, [q], n).flat_leaf[0] == leaf
             assert predict_hierarchical(bank, q, n, tax).y3 == leaf
 
     def test_tally_totals_bounded_by_k(self, tax):
         rng = np.random.default_rng(22)
         bank = bank_from_arrays(tax, unit_rows(rng, 40, 5), list(rng.integers(0, 13, 40)))
-        leaf, tally = flat_vote(bank, unit_rows(rng, 1, 5)[0], 7)
+        res = classify_batch(bank, unit_rows(rng, 1, 5), 7)
+        leaf, tally = res.flat_leaf[0], as_dict(res.flat_counts[0])
         assert sum(tally.values()) == 7
         assert tally[leaf] == max(tally.values())
 
@@ -319,7 +316,9 @@ class TestClassifyBatch:
             assert (pred.y1, pred.y2, pred.y3) == (res.y1[i], res.y2[i], res.y3[i])
             assert pred.fallback_used == tuple(res.fallback[i].tolist())
             assert pred.tallies == tuple(as_dict(c[i]) for c in res.counts)
-            assert flat_vote(bank, q, 4) == (res.flat_leaf[i], as_dict(res.flat_counts[i]))
+            one = classify_batch(bank, [q], 4)
+            assert (one.flat_leaf[0], as_dict(one.flat_counts[0])) == (res.flat_leaf[i],
+                                                                       as_dict(res.flat_counts[i]))
 
     def test_wrappers_reach_classify_batch(self, tax, monkeypatch):
         import hierknn.infer
@@ -330,9 +329,7 @@ class TestClassifyBatch:
                             lambda *a, **kw: calls.append(a) or real(*a, **kw))
         bank = angled_bank(tax, ["SNE", "SNE", "LY"])
         predict_hierarchical(bank, axis_query(), 3, tax)
-        predict_flat(bank, axis_query(), 3)
-        flat_vote(bank, axis_query(), 3)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_without_taxonomy_only_flat_columns(self, tax):
         bank = angled_bank(tax, ["SNE", "SNE", "LY"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hierknn.knn
-from hierknn import classify_batch, cosine_similarity, retrieve, search, top_k, top_k_filtered
+from hierknn import classify_batch, search
 from hierknn.knn import _select
 from conftest import bank_from_arrays, unit_rows
 
@@ -29,22 +29,34 @@ def oracle_order(bank, q: np.ndarray, k: int, rows=None) -> list[int]:
     return ranked[:k]
 
 
+def nearest(bank, q, k: int, rows=None) -> tuple[list[int], list[float]]:
+    """Entry indices and similarities of one query: row 0 of a one-row :func:`search`."""
+    indices, sims = search(bank, np.asarray(q, dtype=np.float64)[None], k, rows)
+    return indices[0].tolist(), sims[0].tolist()
+
+
 class TestCosine:
-    def test_self_similarity_is_one(self):
+    """A similarity is the dot product of the query with the entry."""
+
+    def test_self_similarity_is_one(self, tax):
         rng = np.random.default_rng(0)
         u = rng.standard_normal(16)
         u /= np.linalg.norm(u)
-        assert abs(cosine_similarity(u, u) - 1.0) <= 1e-6
+        bank = bank_from_arrays(tax, u[None].astype(np.float32), [0])
+        assert abs(nearest(bank, u, 1)[1][0] - 1.0) <= 1e-6
 
-    def test_orthogonal_is_zero(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+    def test_orthogonal_is_zero(self, tax):
+        bank = bank_from_arrays(tax, np.array([[0.0, 1.0]], dtype=np.float32), [0])
+        assert nearest(bank, [1.0, 0.0], 1)[1] == [0.0]
 
-    def test_antipodal_is_minus_one(self):
-        assert cosine_similarity([1.0, 0.0], [-1.0, 0.0]) == -1.0
+    def test_antipodal_is_minus_one(self, tax):
+        bank = bank_from_arrays(tax, np.array([[-1.0, 0.0]], dtype=np.float32), [0])
+        assert nearest(bank, [1.0, 0.0], 1)[1] == [-1.0]
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dim mismatch"):
-            cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
+    def test_dim_mismatch_rejected(self, tax):
+        bank = bank_from_arrays(tax, np.array([[1.0, 0.0, 0.0]], dtype=np.float32), [0])
+        with pytest.raises(ValueError, match=r"query block shape \(1, 2\) != \(m, 3\)"):
+            nearest(bank, [1.0, 0.0], 1)
 
 
 class TestTopK:
@@ -52,33 +64,32 @@ class TestTopK:
         """Nearest of {e1, e2} to a query equal to e1 is entry 0 at sim 1."""
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
         bank = bank_from_arrays(tax, vecs, [tax.index_of(3, "BL"), tax.index_of(3, "LY")])
-        hits = top_k(bank, [1.0, 0.0], 1)
-        assert hits.entry_indices == (0,)
-        np.testing.assert_allclose(hits.similarities, [1.0], atol=1e-7)
+        indices, sims = nearest(bank, [1.0, 0.0], 1)
+        assert indices == [0]
+        np.testing.assert_allclose(sims, [1.0], atol=1e-7)
 
     def test_k_equal_to_bank_size_returns_all(self, tax):
         rng = np.random.default_rng(1)
         bank = bank_from_arrays(tax, unit_rows(rng, 9, 6), [0] * 9)
-        hits = top_k(bank, unit_rows(rng, 1, 6)[0], 9)
-        assert sorted(hits.entry_indices) == list(range(9))
-        assert list(hits.similarities) == sorted(hits.similarities, reverse=True)
+        indices, sims = nearest(bank, unit_rows(rng, 1, 6)[0], 9)
+        assert sorted(indices) == list(range(9))
+        assert sims == sorted(sims, reverse=True)
 
     def test_k_beyond_bank_size_capped(self, tax):
         rng = np.random.default_rng(2)
         bank = bank_from_arrays(tax, unit_rows(rng, 4, 5), [1] * 4)
-        hits = top_k(bank, unit_rows(rng, 1, 5)[0], 50)
-        assert len(hits) == 4
-        assert hits.k_requested == 50
+        indices, sims = search(bank, unit_rows(rng, 1, 5), 50)
+        assert indices.shape == sims.shape == (1, 4)
 
     def test_invalid_k_rejected(self, tax):
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(3), 2, 4), [0, 1])
         with pytest.raises(ValueError, match="k must be"):
-            top_k(bank, [1.0, 0.0, 0.0, 0.0], 0)
+            nearest(bank, [1.0, 0.0, 0.0, 0.0], 0)
 
     def test_query_shape_checked(self, tax):
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(4), 2, 4), [0, 1])
-        with pytest.raises(ValueError, match="query shape"):
-            top_k(bank, [1.0, 0.0], 1)
+        with pytest.raises(ValueError, match="query block shape"):
+            nearest(bank, [1.0, 0.0], 1)
 
     def test_matches_oracle_on_random_banks(self, tax):
         """Retrieval order equals the brute-force oracle on 40 random cases."""
@@ -91,8 +102,8 @@ class TestTopK:
                 tax, unit_rows(rng, n, dim), list(rng.integers(0, 13, n))
             )
             q = unit_rows(rng, 1, dim)[0].astype(np.float64)
-            hits = top_k(bank, q, k)
-            assert list(hits.entry_indices) == oracle_order(bank, q, k)
+            indices, _ = nearest(bank, q, k)
+            assert indices == oracle_order(bank, q, k)
 
     def test_exact_ties_break_by_ascending_index(self, tax):
         """Duplicated vectors produce identical sims; lower index wins."""
@@ -101,34 +112,39 @@ class TestTopK:
         vecs = np.vstack([base, base[1], base[0]]).astype(np.float32)
         bank = bank_from_arrays(tax, vecs, [0, 1, 2, 3, 4])
         q = base[1].astype(np.float64)
-        hits = top_k(bank, q, 5)
-        assert list(hits.entry_indices) == oracle_order(bank, q, 5)
-        assert hits.entry_indices[0] == 1 and hits.entry_indices[1] == 3
+        indices, _ = nearest(bank, q, 5)
+        assert indices == oracle_order(bank, q, 5)
+        assert indices[0] == 1 and indices[1] == 3
 
     def test_similarities_non_increasing(self, tax):
         rng = np.random.default_rng(6)
         bank = bank_from_arrays(tax, unit_rows(rng, 120, 7), [0] * 120)
         for _ in range(10):
-            hits = top_k(bank, unit_rows(rng, 1, 7)[0], 15)
-            sims = np.asarray(hits.similarities)
+            _, sims = nearest(bank, unit_rows(rng, 1, 7)[0], 15)
+            sims = np.asarray(sims)
             assert np.all(np.diff(sims) <= 0)
             assert np.all(np.abs(sims) <= 1 + 1e-6)
 
 
 class TestTopKFiltered:
+    """Retrieval restricted to the entries under given level nodes: ``search`` over their rows."""
+
     def build(self, tax, rng, n=80, dim=6):
         return bank_from_arrays(
             tax, unit_rows(rng, n, dim), list(rng.integers(0, 13, n))
         )
 
+    @staticmethod
+    def under(bank, level, allowed):
+        return np.flatnonzero(np.isin(bank.labels[:, level - 1], allowed))
+
     def test_allow_everything_matches_top_k(self, tax):
         rng = np.random.default_rng(7)
         bank = self.build(tax, rng)
         q = unit_rows(rng, 1, 6)[0]
-        plain = top_k(bank, q, 9)
-        filtered = top_k_filtered(bank, q, 9, 1, range(tax.node_count(1)))
-        assert filtered.entry_indices == plain.entry_indices
-        assert filtered.similarities == plain.similarities
+        plain = nearest(bank, q, 9)
+        filtered = nearest(bank, q, 9, self.under(bank, 1, range(tax.node_count(1))))
+        assert filtered == plain
 
     def test_no_qualifying_entries_gives_empty_set(self, tax):
         """Filtering on a lineage absent from the bank returns no hits."""
@@ -137,9 +153,9 @@ class TestTopKFiltered:
         bank = bank_from_arrays(
             tax, unit_rows(rng, 10, 5), list(rng.choice(myeloid_leaves, 10))
         )
-        hits = top_k_filtered(bank, unit_rows(rng, 1, 5)[0], 3, 1, [tax.index_of(1, "Blast")])
-        assert len(hits) == 0
-        assert hits.entry_indices == ()
+        rows = self.under(bank, 1, [tax.index_of(1, "Blast")])
+        indices, sims = nearest(bank, unit_rows(rng, 1, 5)[0], 3, rows)
+        assert indices == [] and sims == []
 
     def test_matches_sub_bank_oracle(self, tax):
         """Filtered retrieval equals brute force over the qualifying subset."""
@@ -149,20 +165,8 @@ class TestTopKFiltered:
             bank = self.build(tax, rng)
             q = unit_rows(rng, 1, 6)[0].astype(np.float64)
             keep = [i for i in range(len(bank)) if int(bank.labels[i, 0]) == myeloid]
-            hits = top_k_filtered(bank, q, 5, 1, [myeloid])
-            assert list(hits.entry_indices) == oracle_order(bank, q, 5, rows=keep)
-
-    def test_empty_allowed_set_rejected(self, tax):
-        rng = np.random.default_rng(10)
-        bank = self.build(tax, rng, n=5)
-        with pytest.raises(ValueError, match="allowed node set is empty"):
-            top_k_filtered(bank, unit_rows(rng, 1, 6)[0], 2, 1, [])
-
-    def test_bad_level_rejected(self, tax):
-        rng = np.random.default_rng(11)
-        bank = self.build(tax, rng, n=5)
-        with pytest.raises(ValueError, match="level"):
-            top_k_filtered(bank, unit_rows(rng, 1, 6)[0], 2, 4, [0])
+            indices, _ = nearest(bank, q, 5, self.under(bank, 1, [myeloid]))
+            assert indices == oracle_order(bank, q, 5, rows=keep)
 
 
 class TestRetrieve:
@@ -192,24 +196,15 @@ class TestRetrieve:
             rows = np.flatnonzero(rng.random(n) < 0.6)
             q = unit_rows(rng, 1, 5)[0].astype(np.float64)
             k = int(rng.integers(1, 12))
-            indices, sims = retrieve(bank, q, k, rows)
-            assert indices.tolist() == oracle_order(bank, q, k, rows=rows.tolist())
+            indices, sims = nearest(bank, q, k, rows)
+            assert indices == oracle_order(bank, q, k, rows=rows.tolist())
             rescored = (bank.vectors[indices].astype(np.float64) * q).sum(axis=1)
-            assert sims.tolist() == rescored.tolist()
+            assert sims == rescored.tolist()
 
     def test_empty_rows_give_no_hits(self, tax):
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(14), 4, 3), [0, 1, 2, 3])
-        indices, sims = retrieve(bank, [1.0, 0.0, 0.0], 3, np.array([], dtype=np.intp))
-        assert indices.size == 0 and sims.size == 0
-
-    def test_wrappers_share_retrieve(self, tax):
-        rng = np.random.default_rng(15)
-        bank = bank_from_arrays(tax, unit_rows(rng, 30, 4), list(rng.integers(0, 13, 30)))
-        q = unit_rows(rng, 1, 4)[0]
-        indices, sims = retrieve(bank, q, 6)
-        hits = top_k(bank, q, 6)
-        assert hits.entry_indices == tuple(indices.tolist())
-        assert hits.similarities == tuple(sims.tolist())
+        indices, sims = nearest(bank, [1.0, 0.0, 0.0], 3, np.array([], dtype=np.intp))
+        assert indices == [] and sims == []
 
 
 class TestSearch:
@@ -235,9 +230,9 @@ class TestSearch:
             leaves = list(rng.integers(0, 13, n))
             leaves[-1] = (leaves[0] + 1) % 13
             bank = bank_from_arrays(tax, vectors, leaves)
-            hits = top_k(bank, unit_rows(rng, 1, dim)[0], n)
-            first, last = hits.entry_indices.index(0), hits.entry_indices.index(n - 1)
-            assert hits.similarities[first] == hits.similarities[last]
+            indices, sims = nearest(bank, unit_rows(rng, 1, dim)[0], n)
+            first, last = indices.index(0), indices.index(n - 1)
+            assert sims[first] == sims[last]
             assert first < last
             # k = 1 on the duplicated row itself: the vote shows which copy ranked first
             res = classify_batch(bank, vectors[[0, -1]], 1, tax)

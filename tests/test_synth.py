@@ -15,11 +15,11 @@ from hierknn import (
     SynthConfig,
     SynthError,
     apply_shift,
+    classify_batch,
     generate,
     generate_member_banks,
     macro_f1,
     parse_synth_config,
-    predict_flat,
     read_manifest,
     write_manifest,
 )
@@ -65,6 +65,12 @@ class TestConfig:
             SynthConfig(noise_sigma=0.0)
         with pytest.raises(ValueError, match="counts"):
             SynthConfig(per_leaf_counts=(-1,) * 13)
+        with pytest.raises(ValueError, match="noise_sigma must be finite, got 'inf'"):
+            SynthConfig(noise_sigma=float("inf"))
+        with pytest.raises(ValueError, match="lineage_separation must be finite, got 'nan'"):
+            SynthConfig(lineage_separation=float("nan"))
+        with pytest.raises(ValueError, match="seed must be >= 0, got '-1'"):
+            SynthConfig(seed=-1)
 
     def test_parse_round_trip(self):
         text = """
@@ -146,7 +152,7 @@ class TestGenerate:
         bank, queries = generate(cfg, tax)
         hits = 0
         for rec in queries:
-            pred = predict_flat(bank, np.asarray(rec["vector"]), 1)
+            pred = classify_batch(bank, [rec["vector"]], 1).flat_leaf[0]
             hits += pred == tax.index_of(3, rec["label"])
         assert hits / len(queries) >= 0.99
 
@@ -228,7 +234,7 @@ class TestApplyShift:
         def mf1_of(records):
             cm = ConfusionMatrix(tax.leaf_count)
             for rec in records:
-                pred = predict_flat(bank, np.asarray(rec["vector"]), 7)
+                pred = classify_batch(bank, [rec["vector"]], 7).flat_leaf[0]
                 cm.add(tax.index_of(3, rec["label"]), pred)
             return macro_f1(cm)
 
