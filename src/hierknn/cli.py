@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -78,6 +79,24 @@ class _HashedFile(io.FileIO):
         return data
 
 
+def _first_bad_byte(path) -> str:
+    """Where a regular file's first byte that is not UTF-8 sits, as `` (line N, byte B)``.
+
+    Read again on this error path only, so that text inputs stream; a pipe
+    cannot be read again, and gives ``""``.
+    """
+    if not os.path.isfile(path):
+        return ""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return f" (line {line}, byte {exc.start})"
+    return ""
+
+
 class _Files:
     """Every file a command opens: each file read is a run input, each written an output."""
 
@@ -99,7 +118,7 @@ class _Files:
             try:
                 yield fh
             except UnicodeDecodeError:
-                raise HierknnError(f"{path}: not UTF-8 text") from None
+                raise HierknnError(f"{path}: not UTF-8 text{_first_bad_byte(path)}") from None
             while raw.readinto(bytearray(1 << 16)):  # what the reader left is hashed too
                 pass
             self.inputs[str(path)] = raw.sha256.hexdigest()

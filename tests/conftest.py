@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import hierknn
-from hierknn import FeatureBank, bank_build, default_taxonomy
+from hierknn import BankError, FeatureBank, bank_build, default_taxonomy
 
 # Directory holding the hierknn package this test process imported: src/
 # under PYTHONPATH=src, the checkout's src/ again under an editable install.
@@ -33,6 +34,35 @@ def run_cli(args, cwd, stdin=None) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "hierknn", *args],
         cwd=cwd, env=env, stdin=stdin, capture_output=True, text=True, timeout=300,
     )
+
+
+_V1_MAGIC = b"HBNK"
+_V1_VERSION = 1
+_V1_HEADER = struct.Struct("<4sIIQ32s")
+_V1_U16 = struct.Struct("<H")
+_V1_LABELS = struct.Struct("<HHH")
+
+
+def save_v1(bank: FeatureBank, sink) -> None:
+    """Write ``bank`` as a version-1 ``.hbnk`` file, which hierknn reads but no longer writes.
+
+    The header (magic, u32 version 1, u32 dim, u64 count, taxonomy digest)
+    is followed by each entry's u16 id length, UTF-8 id, three u16 labels
+    and dim f32 values, all in one write; an id over 65535 UTF-8 bytes is
+    an error before anything is written.
+    """
+    n, block = len(bank), _V1_LABELS.size + 4 * bank.dim
+    rows = np.empty((n, block), dtype=np.uint8)
+    rows[:, :_V1_LABELS.size] = bank.labels.astype("<u2", copy=False).view(np.uint8)
+    rows[:, _V1_LABELS.size:] = bank.vectors.astype("<f4", copy=False).view(np.uint8)
+    body = memoryview(rows.reshape(-1))
+    parts = [_V1_HEADER.pack(_V1_MAGIC, _V1_VERSION, bank.dim, n, bank.taxonomy_digest)]
+    for i, rid in enumerate(bank.ids):
+        id_bytes = rid.encode("utf-8")
+        if len(id_bytes) > 0xFFFF:
+            raise BankError(f"id {rid!r} exceeds 65535 UTF-8 bytes")
+        parts += (_V1_U16.pack(len(id_bytes)), id_bytes, body[i * block:(i + 1) * block])
+    sink.write(b"".join(parts))
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hierknn import (
     read_manifest,
     write_manifest,
 )
-from conftest import bank_from_arrays, unit_rows
+from conftest import bank_from_arrays, save_v1, unit_rows
 
 
 def with_columns(bank: FeatureBank, labels=None, vectors=None) -> FeatureBank:
@@ -387,30 +388,27 @@ class TestSerialization:
 
     def test_truncated_stream_rejected(self, tax):
         buf = io.BytesIO()
-        bank_save(bank_from_arrays(tax, unit_rows(np.random.default_rng(2), 3, 4), [0, 1, 2]), buf)
+        save_v1(bank_from_arrays(tax, unit_rows(np.random.default_rng(2), 3, 4), [0, 1, 2]), buf)
         data = buf.getvalue()
         with pytest.raises(BankFormatError, match="truncated"):
             bank_load(io.BytesIO(data[: len(data) - 3]), tax)
 
     def test_trailing_bytes_rejected(self, tax):
         buf = io.BytesIO()
-        bank_save(bank_from_arrays(tax, unit_rows(np.random.default_rng(3), 1, 4), [5]), buf)
+        save_v1(bank_from_arrays(tax, unit_rows(np.random.default_rng(3), 1, 4), [5]), buf)
         with pytest.raises(BankFormatError, match="trailing"):
             bank_load(io.BytesIO(buf.getvalue() + b"x"), tax)
 
-    def test_overlong_id_writes_nothing(self, tax):
-        """Every id is checked before the first byte goes out."""
-        ids = ["a", "bb", "x" * 0x10000]
+    def test_long_id_round_trips(self, tax):
+        """v2 has no per-id length cap: a 70,000-byte id round-trips. (v1's
+        u16 id length capped ids at 65535 bytes; v1 is no longer written.)"""
+        ids = ["a", "bb", "x" * 70_000]
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(6), 3, 4), [0, 1, 2], ids=ids)
-        buf = io.BytesIO()
-        with pytest.raises(BankError, match="exceeds 65535 UTF-8 bytes"):
-            bank_save(bank, buf)
-        assert buf.getvalue() == b""
+        assert roundtrip(bank, tax).ids == bank.ids
 
-    def test_save_is_one_write(self, tax):
-        """Header and entries go out together, not one write per entry."""
-        leaves = [i % tax.leaf_count for i in range(30)]
-        bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(7), 30, 4), leaves)
+    def test_save_writes_do_not_grow_with_entries(self, tax):
+        """Whole blocks go out, not one write per entry: 3,000 entries take
+        as many writes as 30."""
 
         class Sink(io.BytesIO):
             writes = 0
@@ -419,11 +417,59 @@ class TestSerialization:
                 self.writes += 1
                 return super().write(b)
 
-        sink = Sink()
-        bank_save(bank, sink)
-        assert sink.writes == 1
-        sink.seek(0)
-        assert bank_load(sink, tax).vectors.tobytes() == bank.vectors.tobytes()
+        writes = []
+        for n in (30, 3000):
+            leaves = [i % tax.leaf_count for i in range(n)]
+            bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(7), n, 4), leaves)
+            sink = Sink()
+            bank_save(bank, sink)
+            writes.append(sink.writes)
+            sink.seek(0)
+            assert bank_load(sink, tax).vectors.tobytes() == bank.vectors.tobytes()
+        assert writes[0] == writes[1]
+
+    def test_save_peak_memory_is_within_one_and_a_half_file_sizes(self, tax):
+        """bank_save's traced peak stays within 1.5x the bytes it writes: the
+        blocks go out from the bank's own arrays, with no copy of the file."""
+        rng = np.random.default_rng(8)
+        bank = bank_from_arrays(tax, unit_rows(rng, 20_000, 64),
+                                list(rng.integers(0, tax.leaf_count, 20_000)))
+
+        class Counter:
+            written = 0
+
+            def write(self, b):
+                self.written += memoryview(b).nbytes
+
+        sink = Counter()
+        tracemalloc.start()
+        try:
+            bank_save(bank, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.written > 20_000 * 64 * 4
+        assert peak <= 1.5 * sink.written, (peak, sink.written)
+
+    def test_v1_file_loads_to_the_bank_it_holds(self, tax):
+        """A v1 file still loads, to the same ids, labels and vectors, and
+        saves again as the v2 bytes of the bank it holds."""
+        rng = np.random.default_rng(12)
+        bank = bank_from_arrays(tax, unit_rows(rng, 40, 12),
+                                list(rng.integers(0, tax.leaf_count, 40)),
+                                ids=[f"id-α{i}" for i in range(40)])
+        v1, v2 = io.BytesIO(), io.BytesIO()
+        save_v1(bank, v1)
+        bank_save(bank, v2)
+        assert v1.getvalue()[4:8] == (1).to_bytes(4, "little")
+        assert v2.getvalue()[4:8] == (2).to_bytes(4, "little")
+        loaded = bank_load(io.BytesIO(v1.getvalue()), tax)
+        assert loaded.ids == bank.ids
+        assert loaded.labels.tobytes() == bank.labels.tobytes()
+        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
+        again = io.BytesIO()
+        bank_save(loaded, again)
+        assert again.getvalue() == v2.getvalue()
 
     def test_out_of_range_label_rejected(self, tax):
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(4), 1, 4), [0])
@@ -438,13 +484,15 @@ class TestSerialization:
 
 
 class TestLoadRejectsBadInput:
+    """Corrupt v1 files: v1 is still read, so each of its checks still holds."""
+
     @staticmethod
     def saved(tax, ids=("a", "bb", "ccc"), dim=4):
         rng = np.random.default_rng(5)
         bank = bank_from_arrays(tax, unit_rows(rng, len(ids), dim),
                                 list(range(len(ids))), ids=list(ids))
         buf = io.BytesIO()
-        bank_save(bank, buf)
+        save_v1(bank, buf)
         return bank, buf.getvalue()
 
     @staticmethod
@@ -519,7 +567,7 @@ class TestLoadRejectsBadInput:
         vectors[1, 2] = np.nan
         bank = with_columns(bank, vectors=vectors)
         buf = io.BytesIO()
-        bank_save(bank, buf)
+        save_v1(bank, buf)
         with pytest.raises(BankFormatError, match="'bb': non-finite"):
             bank_load(io.BytesIO(buf.getvalue()), tax)
 
@@ -548,9 +596,231 @@ class TestLoadRejectsBadInput:
         labels[1, 1] = tax.node_count(2) + 7
         bank = with_columns(bank, labels=labels)
         buf = io.BytesIO()
-        bank_save(bank, buf)
+        save_v1(bank, buf)
         limit = tax.node_count(2) + 7
         with pytest.raises(BankFormatError, match=f"'bb': level-2 label {limit} out of range"):
+            bank_load(io.BytesIO(buf.getvalue()), tax)
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // 64) * 64
+
+
+class TestLoadRejectsBadInputV2:
+    """Corrupt v2 files: the twins of TestLoadRejectsBadInput, and the
+    offset, padding and UTF-8 cut checks that only v2 has."""
+
+    @staticmethod
+    def saved(tax, ids=("a", "bé", "ccc"), dim=4):
+        rng = np.random.default_rng(5)
+        bank = bank_from_arrays(tax, unit_rows(rng, len(ids), dim),
+                                list(range(len(ids))), ids=list(ids))
+        buf = io.BytesIO()
+        bank_save(bank, buf)
+        return bank, buf.getvalue()
+
+    @staticmethod
+    def layout(bank) -> dict[str, int]:
+        """File offset of each section of a saved v2 bank, from the documented layout."""
+        n = len(bank)
+        blob = 60 + 8 * (n + 1)
+        blob_end = blob + len("".join(bank.ids).encode("utf-8"))
+        labels = _aligned(blob_end)
+        vectors = _aligned(labels + 6 * n)
+        return {"blob": blob, "blob_end": blob_end, "labels": labels,
+                "vectors": vectors, "end": vectors + 4 * n * bank.dim}
+
+    @classmethod
+    def field_boundaries(cls, bank) -> list[int]:
+        """Byte offset of every field boundary in a saved v2 bank."""
+        at = cls.layout(bank)
+        offsets, pos = [], 0
+        for size in (4, 4, 4, 8, 32, 8) + (8,) * (len(bank) + 1):  # header, id offsets
+            pos += size
+            offsets.append(pos)
+        for rid in bank.ids:
+            pos += len(rid.encode("utf-8"))
+            offsets.append(pos)
+        offsets += [at["labels"] + 6 * i for i in range(len(bank) + 1)]
+        offsets += [at["vectors"] + 4 * bank.dim * i for i in range(len(bank) + 1)]
+        return offsets
+
+    def test_id_offsets_are_each_ids_utf8_length(self, tax):
+        """The offset table equals the running sum of each id's own UTF-8
+        length, for ids of one- to four-byte characters and empty ids."""
+        rng = np.random.default_rng(14)
+        chars = ["a", "é", "日", "🙂"]
+        ids = ["".join(rng.choice(chars, rng.integers(0, 6))) + f"-{i}" for i in range(200)]
+        ids[7] = ""
+        bank = bank_from_arrays(tax, unit_rows(rng, 200, 3), [0] * 200, ids=ids)
+        buf = io.BytesIO()
+        bank_save(bank, buf)
+        offsets = np.frombuffer(buf.getvalue(), "<u8", 201, 60)
+        assert offsets.tolist() == np.cumsum([0] + [len(r.encode("utf-8")) for r in ids]).tolist()
+        assert roundtrip(bank, tax).ids == bank.ids
+
+    def test_layout_is_the_documented_one(self, tax):
+        bank, data = self.saved(tax)
+        at = self.layout(bank)
+        blob = "".join(bank.ids).encode("utf-8")
+        assert len(data) == at["end"]
+        assert data[:12] == b"HBNK" + (2).to_bytes(4, "little") + (4).to_bytes(4, "little")
+        assert int.from_bytes(data[12:20], "little") == 3
+        assert data[20:52] == tax.digest
+        assert int.from_bytes(data[52:60], "little") == len(blob)
+        assert np.frombuffer(data, "<u8", 4, 60).tolist() == [0, 1, 4, 7]
+        assert data[at["blob"]:at["blob_end"]] == blob
+        assert not any(data[at["blob_end"]:at["labels"]])
+        assert data[at["labels"]:at["labels"] + 18] == bank.labels.astype("<u2").tobytes()
+        assert not any(data[at["labels"] + 18:at["vectors"]])
+        assert data[at["vectors"]:] == bank.vectors.astype("<f4").tobytes()
+
+    def test_truncation_at_every_field_boundary(self, tax):
+        """Every cut, at a field boundary or inside a field, of a file or a
+        pipe, is a truncated stream: never a struct, index or decode error."""
+        bank, data = self.saved(tax)
+        boundaries = self.field_boundaries(bank)
+        assert boundaries[-1] == len(data)
+        for cut in range(len(data)):
+            for stream in (io.BytesIO, Unseekable):
+                with pytest.raises(BankFormatError, match="truncated"):
+                    bank_load(stream(data[:cut]), tax)
+
+    def test_trailing_bytes_rejected(self, tax):
+        _, data = self.saved(tax)
+        with pytest.raises(BankFormatError, match=f"trailing bytes after final entry "
+                                                  fr"\(byte {len(data)}\)"):
+            bank_load(io.BytesIO(data + b"\0"), tax)
+
+    @pytest.mark.parametrize("section", ["blob_end", "labels_end"])
+    def test_nonzero_padding_rejected(self, tax, section):
+        """Padding must be zero, so each bank has exactly one encoding."""
+        bank, data = self.saved(tax)
+        at = self.layout(bank)
+        pos = at["blob_end"] if section == "blob_end" else at["labels"] + 6 * len(bank)
+        corrupt = bytearray(data)
+        corrupt[pos + 1] = 0x20
+        with pytest.raises(BankFormatError, match=f"nonzero padding at byte {pos + 1}"):
+            bank_load(io.BytesIO(bytes(corrupt)), tax)
+
+    def test_decreasing_offsets_rejected(self, tax):
+        _, data = self.saved(tax)
+        corrupt = bytearray(data)
+        corrupt[68:84] = np.array([2, 1], dtype="<u8").tobytes()  # offsets 1 and 2
+        with pytest.raises(BankFormatError, match="entry 1: id offset 1 at byte 76 is below"):
+            bank_load(io.BytesIO(bytes(corrupt)), tax)
+
+    @pytest.mark.parametrize("index, value", [(0, 1), (3, 6)], ids=["first", "last"])
+    def test_offsets_must_span_the_blob(self, tax, index, value):
+        _, data = self.saved(tax)
+        corrupt = bytearray(data)
+        corrupt[60 + 8 * index:68 + 8 * index] = value.to_bytes(8, "little")
+        with pytest.raises(BankFormatError, match="not from 0 to 7"):
+            bank_load(io.BytesIO(bytes(corrupt)), tax)
+
+    def test_offset_inside_a_character_names_the_entry(self, tax):
+        """An offset that cuts "é" in two leaves the blob valid UTF-8 as a
+        whole, but not entry 1's id."""
+        bank, data = self.saved(tax)
+        blob = self.layout(bank)["blob"]
+        corrupt = bytearray(data)
+        corrupt[76:84] = (3).to_bytes(8, "little")  # was 4, after b"b\xc3\xa9"
+        message = f"entry 1: id at byte {blob + 1} is not valid UTF-8"
+        with pytest.raises(BankFormatError, match=message):
+            bank_load(io.BytesIO(bytes(corrupt)), tax)
+
+    def test_invalid_utf8_id_names_entry_and_offset(self, tax):
+        bank, data = self.saved(tax)
+        offset = self.layout(bank)["blob"] + 1  # entry 1's id, after entry 0's "a"
+        corrupt = bytearray(data)
+        assert corrupt[offset:offset + 1] == b"b"
+        corrupt[offset] = 0xFF
+        message = f"entry 1: id at byte {offset} is not valid UTF-8"
+        with pytest.raises(BankFormatError, match=message):
+            bank_load(io.BytesIO(bytes(corrupt)), tax)
+
+    def test_unsupported_version_rejected(self, tax):
+        _, data = self.saved(tax)
+        corrupt = bytearray(data)
+        corrupt[4:8] = (3).to_bytes(4, "little")
+        with pytest.raises(BankFormatError, match="unsupported version 3"):
+            bank_load(io.BytesIO(bytes(corrupt)), tax)
+
+    def test_source_needs_only_read(self, tax):
+        """The loader reads the source once and never seeks or tells."""
+        bank, data = self.saved(tax)
+
+        class ReadOnly:
+            def __init__(self):
+                self.calls = 0
+
+            def read(self, *args):
+                self.calls += 1
+                return data
+
+        source = ReadOnly()
+        loaded = bank_load(source, tax)
+        assert source.calls == 1
+        assert loaded.ids == bank.ids
+        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
+
+    def test_oversized_count_named_before_allocation(self, tax):
+        _, data = self.saved(tax)
+        header = bytearray(data)
+        header[12:20] = (2**40).to_bytes(8, "little")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BankFormatError, match=str(2**40)):
+                bank_load(io.BytesIO(bytes(header)), tax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_oversized_dim_rejected(self, tax):
+        _, data = self.saved(tax)
+        header = bytearray(data)
+        header[8:12] = (2**31).to_bytes(4, "little")
+        with pytest.raises(BankFormatError, match="entries of dim 2147483648"):
+            bank_load(io.BytesIO(bytes(header)), tax)
+
+    def test_nan_vector_named(self, tax):
+        bank, _ = self.saved(tax)
+        vectors = bank.vectors.copy()
+        vectors[1, 2] = np.nan
+        buf = io.BytesIO()
+        bank_save(with_columns(bank, vectors=vectors), buf)
+        with pytest.raises(BankFormatError, match="'bé': non-finite"):
+            bank_load(io.BytesIO(buf.getvalue()), tax)
+
+    def test_unseekable_stream_still_loads(self, tax):
+        bank, data = self.saved(tax)
+        loaded = bank_load(Unseekable(data), tax)
+        assert loaded.ids == bank.ids
+        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        (slice(12, 20), 2**40),  # count
+        (slice(8, 12), 2**31),   # dim
+    ])
+    def test_unseekable_oversized_header_is_truncation(self, tax, field, value):
+        """A pipe is read to its end and its header checked against the bytes
+        read, as a file's is; nothing is sized from the header alone."""
+        _, data = self.saved(tax)
+        header = bytearray(data)
+        header[field] = value.to_bytes(field.stop - field.start, "little")
+        with pytest.raises(BankFormatError, match="truncated"):
+            bank_load(Unseekable(bytes(header)), tax)
+
+    def test_out_of_range_label_names_entry_and_level(self, tax):
+        bank, _ = self.saved(tax)
+        labels = bank.labels.copy()
+        labels[2, 0] = tax.node_count(1)
+        labels[1, 1] = tax.node_count(2) + 7
+        buf = io.BytesIO()
+        bank_save(with_columns(bank, labels=labels), buf)
+        limit = tax.node_count(2) + 7
+        with pytest.raises(BankFormatError, match=f"'bé': level-2 label {limit} out of range"):
             bank_load(io.BytesIO(buf.getvalue()), tax)
 
 

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 
 import pytest
 
 from conftest import run_cli as run
+from conftest import save_v1
+from hierknn import bank_load, bank_save, default_taxonomy
 
 SMALL_CONFIG = """
 dim = 8
@@ -29,6 +32,15 @@ def assert_usage_error(proc):
     assert "usage:" in proc.stderr, proc.stderr
     assert "error:" in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
+
+
+def rewrite_as_v1(path) -> bytes:
+    """Rewrite the bank at ``path`` as a version-1 file; return its bytes."""
+    bank = bank_load(io.BytesIO(path.read_bytes()), default_taxonomy())
+    buf = io.BytesIO()
+    save_v1(bank, buf)
+    path.write_bytes(buf.getvalue())
+    return buf.getvalue()
 
 
 def make_synth(cwd, bank="bank.hbnk", queries="q.jsonl", seed_line=None, extra=()):
@@ -377,9 +389,28 @@ class TestBadInputs:
         proc = run(args, tmp_path)
         self.assert_data_error(proc, f"error: {bad}: not UTF-8 text", tmp_path / "out")
 
-    def test_oversized_bank_header(self, tmp_path):
+    def test_non_utf8_query_line_names_line_and_byte(self, tmp_path):
+        """A regular file's first byte that is not UTF-8 is named by line and offset."""
         make_synth(tmp_path)
-        data = bytearray((tmp_path / "bank.hbnk").read_bytes())
+        lines = (tmp_path / "q.jsonl").read_bytes().splitlines(keepends=True)
+        bad = lines[2].replace(b'"id": "', b'"id": "\xff', 1)
+        (tmp_path / "bad.jsonl").write_bytes(lines[0] + lines[1] + bad + lines[3])
+        offset = len(lines[0]) + len(lines[1]) + bad.index(b"\xff")
+        proc = run(["classify", "--bank", "bank.hbnk", "--queries", "bad.jsonl",
+                    "--out", "out"], tmp_path)
+        self.assert_data_error(
+            proc, f"error: bad.jsonl: not UTF-8 text (line 3, byte {offset})\n",
+            tmp_path / "out")
+
+    @staticmethod
+    def bank_bytes(tmp_path, version):
+        """The synth bank's bytes, rewritten as v1 first when ``version`` is 1."""
+        make_synth(tmp_path)
+        path = tmp_path / "bank.hbnk"
+        return bytearray(rewrite_as_v1(path) if version == 1 else path.read_bytes())
+
+    def check_oversized_header(self, tmp_path, version):
+        data = self.bank_bytes(tmp_path, version)
         data[12:20] = (2**40).to_bytes(8, "little")
         (tmp_path / "huge.hbnk").write_bytes(bytes(data))
         info = run(["bank", "info", "huge.hbnk"], tmp_path)
@@ -389,11 +420,16 @@ class TestBadInputs:
                     "--out", "p.jsonl"], tmp_path)
         self.assert_data_error(proc, str(2**40), tmp_path / "p.jsonl")
 
-    def test_oversized_bank_header_through_a_pipe(self, tmp_path):
+    def test_oversized_bank_header(self, tmp_path):
+        self.check_oversized_header(tmp_path, version=1)
+
+    def test_oversized_v2_bank_header(self, tmp_path):
+        self.check_oversized_header(tmp_path, version=2)
+
+    def check_oversized_header_through_a_pipe(self, tmp_path, version):
         """A pipe is read to its end, and the header's count is checked
         against the bytes read: a truncated stream, and a data error."""
-        make_synth(tmp_path)
-        data = bytearray((tmp_path / "bank.hbnk").read_bytes())
+        data = self.bank_bytes(tmp_path, version)
         data[12:20] = (2**40).to_bytes(8, "little")
         assert len(data) < 16384  # fits a pipe buffer, so one write cannot block
         read_end, write_end = os.pipe()
@@ -407,18 +443,33 @@ class TestBadInputs:
         assert "truncated" in info.stderr, info.stderr
         assert "Traceback" not in info.stderr, info.stderr
 
-    def test_invalid_utf8_bank_id(self, tmp_path):
-        make_synth(tmp_path)
-        data = bytearray((tmp_path / "bank.hbnk").read_bytes())
-        data[54] = 0xFF  # first byte of entry 0's id, after the 52-byte header and its length
+    def test_oversized_bank_header_through_a_pipe(self, tmp_path):
+        self.check_oversized_header_through_a_pipe(tmp_path, version=1)
+
+    def test_oversized_v2_bank_header_through_a_pipe(self, tmp_path):
+        self.check_oversized_header_through_a_pipe(tmp_path, version=2)
+
+    def check_invalid_utf8_bank_id(self, tmp_path, version):
+        data = self.bank_bytes(tmp_path, version)
+        if version == 1:  # entry 0's id, after the 52-byte header and its u16 length
+            offset = 54
+        else:  # the id blob, after the 60-byte header and count + 1 u64 offsets
+            offset = 60 + 8 * (int.from_bytes(data[12:20], "little") + 1)
+        data[offset] = 0xFF
         (tmp_path / "badid.hbnk").write_bytes(bytes(data))
         info = run(["bank", "info", "badid.hbnk"], tmp_path)
         assert info.returncode == 2, info.stderr
-        assert "entry 0: id at byte 54 is not valid UTF-8" in info.stderr, info.stderr
+        assert f"entry 0: id at byte {offset} is not valid UTF-8" in info.stderr, info.stderr
         assert "Traceback" not in info.stderr, info.stderr
         proc = run(["classify", "--bank", "badid.hbnk", "--queries", "q.jsonl",
                     "--out", "p.jsonl"], tmp_path)
         self.assert_data_error(proc, "entry 0", tmp_path / "p.jsonl")
+
+    def test_invalid_utf8_bank_id(self, tmp_path):
+        self.check_invalid_utf8_bank_id(tmp_path, version=1)
+
+    def test_invalid_utf8_v2_bank_id(self, tmp_path):
+        self.check_invalid_utf8_bank_id(tmp_path, version=2)
 
 
 class TestPinnedOutputs:
@@ -429,8 +480,13 @@ class TestPinnedOutputs:
     order, vote tie-breaking or output formatting shows up here. The run
     manifests' digests were recorded before the CLI opened its files
     through one layer; a change in which inputs, flags or version a
-    manifest records shows up here too.
+    manifest records shows up here too. The saved banks, and the three
+    manifests that hash a saved bank as an input, were re-pinned when
+    banks began to be written as ``.hbnk`` v2.
     """
+
+    # the fixture bank as version 1 wrote it, before banks were written as v2
+    V1_BANK = "74a163980b520e35988114b8e91192b6d5a2e144e09930d058e83f82370f30db"
 
     PINNED = {
         "preds.jsonl": "4d11a493162feafc91832be980867e9ad099c00cec394298c6516ef75cfef329",
@@ -443,11 +499,11 @@ class TestPinnedOutputs:
         "bank2.hbnk.manifest.json":
             "6772f03a2ee594713b67d026d39eb73108afc848c47ff61d8927b71f6f9e1e79",
         "preds.jsonl.manifest.json":
-            "6c20c77a3d3d51c63ae5fd5f3ca1734185e5786ac809b90025d1027f82a55aa4",
+            "7baf51e49405a79846c76359bc0c82261124193b428618cf8337e2b213e528aa",
         "flat.jsonl.manifest.json":
-            "924e2471620e7a400d8cc6830f4e419518158621e026ce01612d49afd9757ce2",
+            "5880c0101eaf67ab39fe85b9ed9dd8a7c62522994aa71c237dd0da9f9c4bfa64",
         "ens.jsonl.manifest.json":
-            "690c847491813abee3891e62b6563861c70658a006b57677d6e48999ebc30dfd",
+            "888bd12228ed1fd6db2e0ea21756f29c13ed22ee489eb44e45ad0f65dd22d0c5",
         "grid.csv.manifest.json":
             "d0338ec17b9d71788ff5d6098ae941560a2a21a86909260f9023ce454bb4c6d0",
     }
@@ -474,9 +530,9 @@ class TestPinnedOutputs:
 
     # synth with a query shift, and a bank built from the shifted queries
     PINNED_SYNTH = {
-        "bank.hbnk": "74a163980b520e35988114b8e91192b6d5a2e144e09930d058e83f82370f30db",
+        "bank.hbnk": "54f27868135733e0bd9306dc1c4b5e62c00c349b5fcc1a67a215db355863703d",
         "q.jsonl": "e60cbe5d1be4e633a940514c06b1c5ff219db54097a11821d80e55578e5c03a9",
-        "qbank.hbnk": "ec10624fde03609bb1a183e8501eea4d7dfb0c6a630f638cd8eab21a0ea59e2d",
+        "qbank.hbnk": "06e131366c34857c235c6a17f9312cd8189ce73ae01c3a452b1ae8a5ed30b13e",
         "bank.hbnk.manifest.json":
             "3064d43f04bf6f6120068089dcb9e3adde5c6fa42e91791f28d0a59d97832b73",
         "qbank.hbnk.manifest.json":
@@ -490,6 +546,23 @@ class TestPinnedOutputs:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.PINNED_SYNTH}
         assert digests == self.PINNED_SYNTH
+
+
+    def test_v1_fixture_bank_loads_resaves_and_classifies_as_pinned(self, tmp_path):
+        """The fixture bank written as v1 is the pinned v1 file; it loads,
+        saves again as the pinned v2 bank, and classifies to the pinned
+        predictions."""
+        make_synth(tmp_path)
+        v1 = rewrite_as_v1(tmp_path / "bank.hbnk")
+        assert hashlib.sha256(v1).hexdigest() == self.V1_BANK
+        resaved = io.BytesIO()
+        bank_save(bank_load(io.BytesIO(v1), default_taxonomy()), resaved)
+        assert hashlib.sha256(resaved.getvalue()).hexdigest() == self.PINNED_SYNTH["bank.hbnk"]
+        proc = run(["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl",
+                    "--out", "preds.jsonl", "--k", "5"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        preds = hashlib.sha256((tmp_path / "preds.jsonl").read_bytes()).hexdigest()
+        assert preds == self.PINNED["preds.jsonl"]
 
 
 class TestEntryPoint:
