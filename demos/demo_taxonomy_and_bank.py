@@ -1,38 +1,35 @@
 #!/usr/bin/env python3
 """Walk the built-in label tree and round-trip a small feature bank.
 
-Shows the three fixed levels (lineage, group, leaf), how leaf indices map
-to full paths, and that a bank built in memory survives save/load with
-identical bytes. NumPy only.
+Shows the three fixed levels (lineage, group, leaf) as the taxonomy's
+arrays (``parents(level)`` for the edges, ``paths`` for each leaf's full
+path), and that a bank built in memory survives save/load with identical
+bytes. NumPy only.
 """
 import argparse
 import io
 
 import numpy as np
 
-from hierknn import FeatureBank, bank_load, bank_save, default_taxonomy, l2_normalize
+from hierknn import FeatureBank, bank_load, bank_save, default_taxonomy, normalize_rows
 
 
 def show_tree(tax) -> None:
     print(f"taxonomy digest: {tax.digest.hex()[:16]}...")
     for l1 in range(tax.node_count(1)):
         print(f"  {tax.name_of(1, l1)}")
-        for l2 in tax.children(2, l1):
-            leaves = tax.children(3, l2)
+        for l2 in np.flatnonzero(tax.parents(2) == l1).tolist():
+            leaves = np.flatnonzero(tax.parents(3) == l2).tolist()
             names = ", ".join(tax.name_of(3, leaf) for leaf in leaves)
             print(f"    {tax.name_of(2, l2)}: {names}")
 
 
 def build_demo_bank(tax, rng, n_per_leaf: int) -> FeatureBank:
-    ids, labels, rows = [], [], []
-    for leaf in range(tax.leaf_count):
-        path = tax.path_of(leaf)
-        for j in range(n_per_leaf):
-            ids.append(f"{tax.name_of(3, leaf)}-{j}")
-            labels.append(list(path.as_tuple()))
-            rows.append(l2_normalize(rng.standard_normal(8)))
-    vectors = np.asarray(rows, dtype=np.float32)
-    return FeatureBank(8, ids, np.asarray(labels, dtype=np.uint16), vectors, tax.digest)
+    leaves = np.repeat(np.arange(tax.leaf_count), n_per_leaf)
+    ids = [f"{name}-{j}" for name in tax.names(3) for j in range(n_per_leaf)]
+    labels = tax.paths[leaves].astype(np.uint16)  # one (lineage, group, leaf) row per entry
+    vectors = normalize_rows(rng.standard_normal((len(leaves), 8)))
+    return FeatureBank(8, ids, labels, vectors, tax.digest)
 
 
 def main() -> None:
@@ -48,10 +45,9 @@ def main() -> None:
     print("\n=== leaf paths ===")
     for name in ("BL", "SNE", "PC"):
         leaf = tax.index_of(3, name)
-        path = tax.path_of(leaf)
         chain = " > ".join(
             tax.name_of(level, idx)
-            for level, idx in zip((1, 2, 3), path.as_tuple())
+            for level, idx in zip((1, 2, 3), tax.paths[leaf].tolist())
         )
         print(f"  leaf {leaf:2d} ({name}): {chain}")
 

@@ -17,7 +17,6 @@ from .bank import (
     bank_load,
     bank_merge,
     bank_save,
-    l2_normalize,
     normalize_rows,
     read_manifest,
     write_manifest,
@@ -53,7 +52,6 @@ from .metrics import (
     ConfusionMatrix,
     F1_CONVENTION,
     macro_f1,
-    per_class_f1,
     score_predictions,
 )
 from .synth import (
@@ -66,7 +64,7 @@ from .synth import (
     generate_member_banks,
     parse_synth_config,
 )
-from .taxonomy import LabelPath, Taxonomy, default_taxonomy, load_taxonomy
+from .taxonomy import Taxonomy, default_taxonomy, load_taxonomy
 from .toytrain import (
     ClassWeights,
     EmaState,

@@ -53,8 +53,8 @@ def normalize_rows(x, ids=None) -> np.ndarray:
     """Scale each row of an (n, d) block to unit norm; float32 out, float64 arithmetic.
 
     Each row's squared norm is its own BLAS dot product, summed as the one-row
-    ``np.linalg.norm`` sums it, so row i equals ``l2_normalize(x[i])`` bit for
-    bit. Raises BankError naming the first non-finite or near-zero (norm <=
+    ``np.linalg.norm`` sums it, so row i equals ``normalize_rows(x[i:i + 1])``
+    bit for bit. Raises BankError naming the first non-finite or near-zero (norm <=
     1e-12) row: as ``ids[i]`` if ids are given, else by index.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -70,11 +70,6 @@ def normalize_rows(x, ids=None) -> np.ndarray:
         row = f"row {i}" if ids is None else f"record {ids[i]!r}"
         raise BankError(f"{row}: {'zero-norm' if finite[i] else 'non-finite'} vector")
     return (x / norms[:, None]).astype(np.float32)
-
-
-def l2_normalize(v) -> np.ndarray:
-    """One-row form of :func:`normalize_rows`: ``v`` flattened, scaled to unit norm."""
-    return normalize_rows(np.asarray(v, dtype=np.float64).reshape(1, -1))[0]
 
 
 class FeatureBank:

@@ -176,12 +176,6 @@ def _synth_config(args, files: _Files) -> SynthConfig:
     return parse_synth_config(files.read_text(args.config)) if args.config else SynthConfig()
 
 
-def _record_leaves(records: list[dict], tax: Taxonomy) -> list[int]:
-    """Leaf index of each prediction or truth record, from its 'label', else its 'y3'."""
-    labels = [rec.get("label", rec.get("y3")) for rec in records]
-    return leaf_indices([rec["id"] for rec in records], labels, tax)
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -253,7 +247,7 @@ def cmd_ensemble(args, files: _Files) -> None:
     cfg = EnsembleConfig(banks, k=args.k, tie_policy=args.tie_policy)
     queries = QuerySet.from_records(files.read_records(args.queries), banks[0].dim)
     voted = run_ensemble(cfg, queries, tax, flat=args.flat)
-    labels = np.array(tax.leaf_names, dtype=object)[[leaf for _, leaf in voted]]
+    labels = np.array(tax.names(3), dtype=object)[[leaf for _, leaf in voted]]
     out_records = [{"id": qid, "label": label} for (qid, _), label in zip(voted, labels)]
     files.write_records(args.out, out_records)
     print(f"wrote {args.out}: {len(out_records)} predictions from {len(banks)} members")
@@ -264,6 +258,10 @@ def _maybe_shift(queries: QuerySet, args) -> QuerySet:
         spec = ShiftSpec(rotation_angle=args.rot, bias=args.bias, extra_noise=args.noise)
         return apply_shift(queries, spec, args.shift_seed)
     return queries
+
+
+# ablate flags that only shape generated members and their queries
+_MEMBER_COUNT_ONLY = ("config", "rot", "bias", "noise", "shift_seed")
 
 
 def cmd_ablate(args, files: _Files, parser: _Parser) -> None:
@@ -284,6 +282,10 @@ def cmd_ablate(args, files: _Files, parser: _Parser) -> None:
     else:
         if not args.queries:
             parser.error("--queries is required when --banks lists bank files")
+        unused = [f"--{dest.replace('_', '-')}" for dest in _MEMBER_COUNT_ONLY
+                  if getattr(args, dest) != parser.get_default(dest)]
+        if unused:
+            parser.error(f"{', '.join(unused)} only apply when --banks is a member count")
         banks = [files.read_bank(p, tax) for p in args.banks.split(",")]
         records = files.read_records(args.queries)
         queries = QuerySet.from_records(records, banks[0].dim, labelled=True)
@@ -298,22 +300,31 @@ def cmd_ablate(args, files: _Files, parser: _Parser) -> None:
     print(f"wrote {args.out}: {len(rows)} ensemble sizes")
 
 
+def _leaves_by_id(records: list[dict], tax: Taxonomy, what: str) -> dict[str, int]:
+    """Leaf index of each prediction or truth record, from its 'label', else its 'y3'.
+
+    Keyed by id in record order; a repeated id is a data error.
+    """
+    ids = [rec["id"] for rec in records]
+    labels = [rec.get("label", rec.get("y3")) for rec in records]
+    by_id = {}
+    for qid, leaf in zip(ids, leaf_indices(ids, labels, tax)):
+        if qid in by_id:
+            raise ManifestError(f"duplicate {what} id {qid!r}")
+        by_id[qid] = leaf
+    return by_id
+
+
 def cmd_evaluate(args, files: _Files) -> None:
     tax = _load_tax(args, files)
-    records = files.read_records(args.preds)
-    by_id = {}
-    for rec, leaf in zip(records, _record_leaves(records, tax)):
-        if rec["id"] in by_id:
-            raise ManifestError(f"duplicate prediction id {rec['id']!r}")
-        by_id[rec["id"]] = leaf
-    records = files.read_records(args.truth)
-    truth = _record_leaves(records, tax)
+    by_id = _leaves_by_id(files.read_records(args.preds), tax, "prediction")
+    truth = _leaves_by_id(files.read_records(args.truth), tax, "truth")
     try:
-        preds = [by_id[rec["id"]] for rec in records]
+        preds = [by_id[qid] for qid in truth]
     except KeyError as exc:
         raise ManifestError(f"no prediction for id {exc.args[0]!r}") from None
 
-    cm, mf1, report = score_predictions(truth, preds, tax.leaf_count)
+    cm, mf1, report = score_predictions(list(truth.values()), preds, tax.leaf_count)
     for entry in report["classes"]:
         entry["leaf"] = tax.name_of(3, entry["index"])
     print(f"macro_f1: {mf1!r} over {len(truth)} samples")

@@ -23,7 +23,7 @@ import numpy as np
 from .bank import FeatureBank
 from .errors import InferenceError
 from .knn import search
-from .taxonomy import LabelPath, Taxonomy
+from .taxonomy import Taxonomy
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class HierPrediction:
     y3: int
     tallies: tuple[dict[int, int], dict[int, int], dict[int, int]]
     fallback_used: tuple[bool, bool, bool]
-
-    def label_path(self) -> LabelPath:
-        return LabelPath(self.y1, self.y2, self.y3)
 
 
 class BatchPrediction(NamedTuple):

@@ -42,18 +42,6 @@ class ConfusionMatrix:
             )
         self.counts[true_class, pred_class] += 1
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Element-wise sum, for combining shards scored independently."""
-        if other.n_classes != self.n_classes:
-            raise ValueError("class count mismatch")
-        out = ConfusionMatrix(self.n_classes)
-        out.counts = self.counts + other.counts
-        return out
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def _per_class(cm: ConfusionMatrix):
     """Per-class precision, recall, F1 and support, as arrays; a ratio over 0 is 0.0."""
@@ -65,13 +53,6 @@ def _per_class(cm: ConfusionMatrix):
         for num, denom in ((tp, predicted), (tp, support), (2.0 * tp, predicted + support))
     ]
     return (*ratios, support)
-
-
-def per_class_f1(cm: ConfusionMatrix, c: int) -> float:
-    """2*TP / (2*TP + FP + FN), or 0.0 when the denominator is zero."""
-    if not 0 <= c < cm.n_classes:
-        raise ValueError(f"class {c} out of range")
-    return float(_per_class(cm)[2][c])
 
 
 def macro_f1(cm: ConfusionMatrix) -> float:

@@ -141,11 +141,15 @@ def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _orthonormal(raw: np.ndarray) -> np.ndarray:
+    """Q of raw's QR with column signs fixed (diag(R) > 0), so the basis is reproducible."""
+    q, r = np.linalg.qr(raw)
+    return q * np.sign(np.diag(r))
+
+
 def _draw_plane(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Orthonormal (dim, 2) basis spanning a random rotation plane."""
-    raw = rng.standard_normal((dim, 2))
-    q, r = np.linalg.qr(raw)
-    return q * np.sign(np.diag(r))  # fix QR sign ambiguity for reproducibility
+    return _orthonormal(rng.standard_normal((dim, 2)))
 
 
 def _rotate_in_plane(x: np.ndarray, plane: np.ndarray, angle: float) -> np.ndarray:
@@ -183,9 +187,7 @@ def _offset_frame(rng: np.random.Generator, dim: int, n: int, avoid: np.ndarray)
     if n > dim - avoid.shape[1]:
         return np.stack([_unit(rng, dim) for _ in range(n)])
     raw = rng.standard_normal((dim, n))
-    raw = raw - avoid @ (avoid.T @ raw)
-    q, r = np.linalg.qr(raw)
-    return (q * np.sign(np.diag(r))).T
+    return _orthonormal(raw - avoid @ (avoid.T @ raw)).T
 
 
 def _leaf_means(cfg: SynthConfig, tax: Taxonomy, seed: np.random.SeedSequence) -> np.ndarray:
@@ -197,16 +199,14 @@ def _leaf_means(cfg: SynthConfig, tax: Taxonomy, seed: np.random.SeedSequence) -
         raise SynthError(
             f"dim {cfg.dim} too small for {len(lineages)} orthogonal group centers"
         )
-    raw = rng.standard_normal((cfg.dim, len(lineages)))
-    q, r = np.linalg.qr(raw)
-    basis = q * np.sign(np.diag(r))  # fix QR sign ambiguity for reproducibility
+    basis = _orthonormal(rng.standard_normal((cfg.dim, len(lineages))))
     centers = cfg.lineage_separation * basis.T  # (n_lineages, dim)
 
     group_dirs = np.empty((tax.node_count(2), cfg.dim))
     group_means = np.empty((tax.node_count(2), cfg.dim))
     crowd = _GROUP_CROWDING
     for lin in range(tax.node_count(1)):
-        kids = tax.children(2, lin)
+        kids = np.flatnonzero(tax.parents(2) == lin)
         frame = _offset_frame(rng, cfg.dim, len(kids) + 1, basis)
         common, dirs = frame[0], frame[1:]
         dirs = crowd * common + np.sqrt(1.0 - crowd * crowd) * dirs
@@ -216,7 +216,7 @@ def _leaf_means(cfg: SynthConfig, tax: Taxonomy, seed: np.random.SeedSequence) -
 
     means = np.empty((tax.leaf_count, cfg.dim))
     for g in range(tax.node_count(2)):
-        kids = tax.children(3, g)
+        kids = np.flatnonzero(tax.parents(3) == g)
         avoid = np.column_stack([basis, group_dirs[g]])
         dirs = _offset_frame(rng, cfg.dim, len(kids), avoid)
         for j, leaf_idx in enumerate(kids):
@@ -248,12 +248,12 @@ def _draw(rng, means: np.ndarray, counts, sigma: float) -> np.ndarray:
 
 def _ids(prefix: str, tax: Taxonomy, counts) -> list[str]:
     """Entry ids ``<prefix><leaf name>-<i>``, numbered from 0 within each leaf."""
-    return [f"{prefix}{name}-{i}" for name, n in zip(tax.leaf_names, counts) for i in range(n)]
+    return [f"{prefix}{name}-{i}" for name, n in zip(tax.names(3), counts) for i in range(n)]
 
 
 def _query_set(tax: Taxonomy, counts, vectors: np.ndarray) -> QuerySet:
     """A labelled query set laid out leaf by leaf."""
-    return QuerySet(_ids("q-", tax, counts), vectors, np.repeat(tax.leaf_names, counts).tolist())
+    return QuerySet(_ids("q-", tax, counts), vectors, np.repeat(tax.names(3), counts).tolist())
 
 
 def generate(cfg: SynthConfig, tax: Taxonomy) -> tuple[FeatureBank, QuerySet]:

@@ -1,4 +1,4 @@
-"""Three-level label hierarchy: config parsing, validation, ancestry queries.
+"""Three-level label hierarchy: config parsing, validation, tree arrays.
 
 Config grammar (UTF-8 text):
 
@@ -24,7 +24,6 @@ indices and an identical digest.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -34,24 +33,14 @@ from .errors import TaxonomyError
 _SECTIONS = {"[level1]": 1, "[level2]": 2, "[level3]": 3}
 
 
-@dataclass(frozen=True)
-class LabelPath:
-    """One node index per level, lineage first; leaf is ``l3``."""
-
-    l1: int
-    l2: int
-    l3: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.l1, self.l2, self.l3)
-
-
 class Taxonomy:
-    """Immutable three-level tree with parent/child/ancestor lookups.
+    """Immutable three-level tree: node names over read-only index arrays.
 
     The tree is kept as read-only index arrays: ``paths`` (row l: leaf l's
     lineage, group and leaf), ``sizes`` (nodes per level), ``edges`` (their running
     sum from 0; level l owns ``edges[l - 1]:edges[l]`` of all nodes) and ``parents``.
+    Leaf l's ancestor at level v is ``paths[l, v - 1]``; the children of node p
+    at level v - 1 are ``np.flatnonzero(parents(v) == p)``.
     Instances are only built through :func:`load_taxonomy`, which validates
     the single-parent and coverage invariants. Safe for concurrent reads.
     """
@@ -91,10 +80,6 @@ class Taxonomy:
     def leaf_count(self) -> int:
         return len(self._names[2])
 
-    @property
-    def leaf_names(self) -> tuple[str, ...]:
-        return self._names[2]
-
     def node_count(self, level: int) -> int:
         self._check_level(level)
         return len(self._names[level - 1])
@@ -127,28 +112,6 @@ class Taxonomy:
             raise TaxonomyError(f"nodes at level {level} have no parent")
         return self._parents[level - 2]
 
-    def children(self, level: int, parent: int) -> tuple[int, ...]:
-        """Level-``level`` nodes whose parent at ``level - 1`` is ``parent``."""
-        if level not in (2, 3):
-            raise TaxonomyError(f"children() requires level 2 or 3, got {level}")
-        self._check_index(level - 1, parent)
-        return tuple(np.flatnonzero(self.parents(level) == parent).tolist())
-
-    def ancestor(self, leaf: int, level: int) -> int:
-        """The unique node at ``level`` on the leaf's root path; level 3 is the leaf itself."""
-        self._check_level(level)
-        self._check_index(3, leaf)
-        return int(self.paths[leaf, level - 1])
-
-    def path_of(self, leaf: int) -> LabelPath:
-        self._check_index(3, leaf)
-        return LabelPath(*self.paths[leaf].tolist())
-
-    def validate_path(self, path: LabelPath) -> None:
-        """Raise TaxonomyError unless the path is a real root-to-leaf chain."""
-        if self.path_of(path.l3) != path:
-            raise TaxonomyError(f"label path {path.as_tuple()} is not parent-consistent")
-
     def _check_level(self, level: int) -> None:
         if level not in (1, 2, 3):
             raise TaxonomyError(f"level must be 1, 2, or 3, got {level}")
@@ -159,12 +122,6 @@ class Taxonomy:
             raise TaxonomyError(
                 f"level-{level} node index {index} out of range (have {n} nodes)"
             )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Taxonomy) and self._digest == other._digest
-
-    def __hash__(self) -> int:
-        return hash(self._digest)
 
     def __repr__(self) -> str:
         sizes = "/".join(str(len(n)) for n in self._names)

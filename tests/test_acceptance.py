@@ -92,8 +92,8 @@ def test_criterion_2_hierarchical_consistency_fuzz(tax):
         for q in queries:
             k = int(rng.integers(1, 14))
             pred = predict_hierarchical(bank, q, k, tax)
-            assert tax.ancestor(pred.y3, 1) == pred.y1
-            assert tax.ancestor(pred.y3, 2) == pred.y2
+            assert tax.paths[pred.y3, 0] == pred.y1
+            assert tax.paths[pred.y3, 1] == pred.y2
             checked += 1
             fallbacks += any(pred.fallback_used)
     assert checked == 10_000

@@ -18,7 +18,6 @@ from hierknn import (
     bank_load,
     bank_merge,
     bank_save,
-    l2_normalize,
     load_taxonomy,
     normalize_rows,
     read_manifest,
@@ -65,25 +64,27 @@ def records_for(tax, leaves: list[str], dim: int = 4, seed: int = 0) -> list[dic
 
 
 class TestNormalize:
+    """One-row blocks through normalize_rows."""
+
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-7)
+        np.testing.assert_allclose(normalize_rows([[3.0, 4.0]])[0], [0.6, 0.8], atol=1e-7)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(BankError, match="zero-norm"):
-            l2_normalize([0.0] * 8)
+            normalize_rows([[0.0] * 8])
 
     def test_empty_vector_rejected(self):
         with pytest.raises(BankError, match="empty"):
-            l2_normalize([])
+            normalize_rows(np.ones((1, 0)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(BankError, match="non-finite"):
-            l2_normalize([1.0, float("nan")])
+            normalize_rows([[1.0, float("nan")]])
 
     def test_random_vectors_come_back_unit(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            v = l2_normalize(rng.standard_normal(64) * rng.uniform(0.01, 100))
+            (v,) = normalize_rows(rng.standard_normal((1, 64)) * rng.uniform(0.01, 100))
             assert v.dtype == np.float32
             assert abs(np.linalg.norm(v.astype(np.float64)) - 1.0) <= 1e-6
 
@@ -107,12 +108,6 @@ class TestNormalizeRows:
             # a second pass over already-unit float32 rows, as bank building does
             again = once.astype(np.float64)
             assert normalize_rows(again).tobytes() == self.reference(again).tobytes(), dim
-
-    def test_one_row_form_is_l2_normalize(self):
-        rng = np.random.default_rng(23)
-        x = rng.standard_normal((25, 10))
-        rows = np.stack([l2_normalize(row) for row in x])
-        assert rows.tobytes() == normalize_rows(x).tobytes()
 
     @pytest.mark.parametrize("bad, why", [
         (np.nan, "non-finite"),
@@ -156,8 +151,9 @@ class TestBuildArrays:
         bank = bank_build_arrays(
             [f"e{i}" for i in leaves], leaves, np.ones((len(leaves), 4)), tax
         )
-        assert [tuple(row) for row in bank.labels.tolist()] == [
-            tax.path_of(leaf).as_tuple() for leaf in leaves
+        assert bank.labels.tolist() == [
+            [tax.parent_of(2, tax.parent_of(3, leaf)), tax.parent_of(3, leaf), leaf]
+            for leaf in leaves
         ]
 
     def test_bad_records_named_by_id(self, tax):

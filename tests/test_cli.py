@@ -186,6 +186,18 @@ class TestAblateCommand:
         proc = run(["ablate", "--banks", "bank.hbnk", "--out", "g.csv"], tmp_path)
         assert_usage_error(proc)
 
+    def test_bank_file_mode_rejects_member_count_flags(self, tmp_path):
+        """Flags that only shape generated members are a usage error with saved banks."""
+        make_synth(tmp_path)
+        base = ["ablate", "--banks", "bank.hbnk,bank.hbnk", "--queries", "q.jsonl", "--out", "g.csv"]
+        for extra in (["--rot", "0.5", "--config", "nonexist.cfg"], ["--bias", "0.2"],
+                      ["--noise", "0.1"], ["--shift-seed", "3"]):
+            proc = run(base + extra, tmp_path)
+            assert_usage_error(proc)
+            for flag in extra[::2]:
+                assert flag in proc.stderr, proc.stderr
+            assert not (tmp_path / "g.csv").exists()
+
     def test_bank_file_mode_scores_saved_banks(self, tmp_path):
         make_synth(tmp_path, bank="m0.hbnk", queries="q.jsonl")
         make_synth(tmp_path, bank="m1.hbnk", queries="q1.jsonl", seed_line="seed = 6")
@@ -345,6 +357,18 @@ class TestBadInputs:
                     "--report", "r.json"], tmp_path)
         self.assert_data_error(proc, f"duplicate prediction id {preds[0]['id']!r}",
                                tmp_path / "r.json")
+
+    def test_repeated_truth_id(self, tmp_path):
+        """A truth id that repeats is rejected, not scored twice."""
+        self.classify_then_edit(tmp_path, lambda p: p)
+        truth = tmp_path / "q.jsonl"
+        lines = truth.read_text().splitlines()
+        truth.write_text("\n".join(lines + lines[:50]) + "\n", encoding="utf-8")
+        proc = run(["evaluate", "--preds", "p.jsonl", "--truth", "q.jsonl",
+                    "--report", "r.json"], tmp_path)
+        self.assert_data_error(proc, f"duplicate truth id {json.loads(lines[0])['id']!r}",
+                               tmp_path / "r.json")
+        assert "macro_f1" not in proc.stdout
 
     def test_non_string_leaf_in_predictions(self, tmp_path):
         preds = self.classify_then_edit(tmp_path, lambda p: [dict(p[0], y3=["BL"])] + p[1:])

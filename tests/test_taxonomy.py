@@ -1,11 +1,12 @@
-"""Taxonomy parsing, validation, and ancestry lookups."""
+"""Taxonomy parsing, validation, and the tree arrays."""
 from __future__ import annotations
+
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from hierknn import TaxonomyError, load_taxonomy
-from hierknn.taxonomy import LabelPath
 
 MINIMAL = """
 [level1]
@@ -35,6 +36,32 @@ def random_tax_text(rng: np.random.Generator) -> str:
     return "\n".join(lines)
 
 
+def declared_parents(text: str) -> dict[str, str]:
+    """Child name -> parent name, read straight from the config's ``child -> parent`` lines."""
+    out = {}
+    for raw in text.splitlines():
+        child, arrow, parent = raw.split("#", 1)[0].partition("->")
+        if arrow:
+            out[child.strip()] = parent.strip()
+    return out
+
+
+def check_arrays_follow_text(t, text: str) -> None:
+    """``parents(level)`` and every ``paths`` row name the parents the text declares."""
+    parent_name = declared_parents(text)
+    assert len(parent_name) == t.node_count(2) + t.node_count(3)
+    for level in (2, 3):
+        got = [t.name_of(level - 1, p) for p in t.parents(level).tolist()]
+        assert got == [parent_name[name] for name in t.names(level)], level
+    lineage_group_leaf = [
+        [parent_name[parent_name[leaf]], parent_name[leaf], leaf] for leaf in t.names(3)
+    ]
+    assert t.paths.shape == (t.leaf_count, 3)
+    assert [
+        [t.name_of(level, i) for level, i in zip((1, 2, 3), row)] for row in t.paths.tolist()
+    ] == lineage_group_leaf
+
+
 class TestDefaultTree:
     def test_level_sizes(self, tax):
         """The shipped config declares 3 lineages, 6 groups, 13 leaves."""
@@ -48,32 +75,29 @@ class TestDefaultTree:
     def test_blast_group_has_single_leaf(self, tax):
         """The Blast lineage funnels through one group to one leaf."""
         blast = tax.index_of(1, "Blast")
-        (group,) = tax.children(2, blast)
-        kids = tax.children(3, group)
+        (group,) = np.flatnonzero(tax.parents(2) == blast)
+        kids = np.flatnonzero(tax.parents(3) == group)
         assert [tax.name_of(3, c) for c in kids] == ["BL"]
 
     def test_known_ancestors(self, tax):
-        assert tax.name_of(1, tax.ancestor(tax.index_of(3, "SNE"), 1)) == "Myeloid"
-        assert tax.name_of(1, tax.ancestor(tax.index_of(3, "LY"), 1)) == "Lymphoid"
+        assert tax.name_of(1, tax.paths[tax.index_of(3, "SNE"), 0]) == "Myeloid"
+        assert tax.name_of(1, tax.paths[tax.index_of(3, "LY"), 0]) == "Lymphoid"
 
     def test_ancestor_at_leaf_level_is_identity(self, tax):
-        for leaf in range(tax.leaf_count):
-            assert tax.ancestor(leaf, 3) == leaf
+        assert tax.paths[:, 2].tolist() == list(range(tax.leaf_count))
 
     def test_children_partition_each_level(self, tax):
         """Child sets are disjoint and jointly cover the lower level."""
         for level in (2, 3):
             seen = []
             for parent in range(tax.node_count(level - 1)):
-                seen.extend(tax.children(level, parent))
+                seen.extend(np.flatnonzero(tax.parents(level) == parent).tolist())
             assert sorted(seen) == list(range(tax.node_count(level)))
 
     def test_paths_are_parent_consistent(self, tax):
-        for leaf in range(tax.leaf_count):
-            path = tax.path_of(leaf)
-            assert path.l2 in tax.children(2, path.l1)
-            assert path.l3 in tax.children(3, path.l2)
-            tax.validate_path(path)
+        """The arrays hold the parent edges the packaged config declares."""
+        text = resources.files("hierknn.data").joinpath("default_taxonomy.txt").read_text("utf-8")
+        check_arrays_follow_text(tax, text)
 
     def test_tree_arrays_are_read_only(self, tax):
         """The shared tree arrays cannot be edited through any caller."""
@@ -100,11 +124,11 @@ class TestParsing:
         """One lineage, one group, two leaves is the smallest legal tree."""
         t = load_taxonomy(MINIMAL)
         assert (t.node_count(1), t.node_count(2), t.leaf_count) == (1, 1, 2)
-        assert t.children(3, 0) == (0, 1)
+        assert np.flatnonzero(t.parents(3) == 0).tolist() == [0, 1]
 
     def test_comments_and_blank_lines_ignored(self):
         t = load_taxonomy("# header\n\n" + MINIMAL + "\n# trailing\n")
-        assert t == load_taxonomy(MINIMAL)
+        assert t.digest == load_taxonomy(MINIMAL).digest
 
     def test_declared_leaf_count_checked(self):
         ok = "leaves = 2\n" + MINIMAL
@@ -147,30 +171,20 @@ class TestParsing:
 
 
 class TestLookupErrors:
-    def test_children_index_out_of_range(self, tax):
-        with pytest.raises(TaxonomyError, match="out of range"):
-            tax.children(3, tax.node_count(2))
-
-    def test_children_bad_level(self, tax):
-        with pytest.raises(TaxonomyError, match="level 2 or 3"):
-            tax.children(1, 0)
-
     def test_unknown_name(self, tax):
         with pytest.raises(TaxonomyError, match="unknown"):
             tax.index_of(3, "XYZ")
 
-    def test_bad_ancestor_args(self, tax):
-        with pytest.raises(TaxonomyError):
-            tax.ancestor(tax.leaf_count, 1)
-        with pytest.raises(TaxonomyError):
-            tax.ancestor(0, 4)
+    def test_children_bad_level(self, tax):
+        """Children are read from ``parents(level)``, which level 1 does not have."""
+        with pytest.raises(TaxonomyError, match="level 1 have no parent"):
+            tax.parents(1)
 
-    def test_inconsistent_path_rejected(self, tax):
-        """A triple mixing two lineages fails path validation."""
-        a = tax.path_of(tax.index_of(3, "BL"))
-        b = tax.path_of(tax.index_of(3, "LY"))
-        with pytest.raises(TaxonomyError, match="parent-consistent"):
-            tax.validate_path(LabelPath(a.l1, a.l2, b.l3))
+    def test_bad_level_or_index_named(self, tax):
+        with pytest.raises(TaxonomyError, match="level-3 node index 13 out of range"):
+            tax.parent_of(3, tax.leaf_count)
+        with pytest.raises(TaxonomyError, match="level must be 1, 2, or 3, got 4"):
+            tax.name_of(4, 0)
 
 
 class TestDeterminism:
@@ -186,19 +200,14 @@ class TestDeterminism:
         assert t.names(3) == ("leafA", "leafB")
 
     def test_fuzzed_trees_hold_invariants(self):
-        """Random well-formed configs parse and keep ancestry consistent."""
+        """Random well-formed configs parse into arrays holding their declared edges."""
         rng = np.random.default_rng(20260822)
         for _ in range(40):
-            t = load_taxonomy(random_tax_text(rng))
+            text = random_tax_text(rng)
+            t = load_taxonomy(text)
+            check_arrays_follow_text(t, text)
             for level in (2, 3):
-                seen = []
-                for parent in range(t.node_count(level - 1)):
-                    kids = t.children(level, parent)
-                    assert all(t.parent_of(level, c) == parent for c in kids)
-                    seen.extend(kids)
-                assert sorted(seen) == list(range(t.node_count(level)))
-            for leaf in range(t.leaf_count):
-                t.validate_path(t.path_of(leaf))
-                assert t.paths[leaf].tolist() == list(t.path_of(leaf).as_tuple())
-            assert t.paths.shape == (t.leaf_count, 3)
+                assert [t.parent_of(level, c) for c in range(t.node_count(level))] == (
+                    t.parents(level).tolist()
+                )
             assert t.sizes.tolist() == [t.node_count(level) for level in (1, 2, 3)]
