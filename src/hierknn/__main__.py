@@ -1,7 +1,5 @@
 """Module entry point so ``python -m hierknn`` behaves like the console script."""
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

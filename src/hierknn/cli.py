@@ -10,7 +10,9 @@ so identical inputs and seeds give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -45,12 +47,6 @@ from .synth import (
     parse_synth_config,
 )
 from .taxonomy import Taxonomy, default_taxonomy, load_taxonomy
-from .toytrain import (
-    LossConfig,
-    grad_check_report,
-    make_toy_dataset,
-    train_toy,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,6 +319,9 @@ def cmd_evaluate(args, files: _Files) -> None:
         preds = [by_id[qid] for qid in truth]
     except KeyError as exc:
         raise ManifestError(f"no prediction for id {exc.args[0]!r}") from None
+    extra = next((qid for qid in by_id if qid not in truth), None)
+    if extra is not None:
+        raise ManifestError(f"prediction id {extra!r} has no truth record")
 
     cm, mf1, report = score_predictions(list(truth.values()), preds, tax.leaf_count)
     for entry in report["classes"]:
@@ -351,6 +350,8 @@ def cmd_synth(args, files: _Files) -> None:
 
 
 def cmd_traintoy(args, files: _Files) -> None:
+    from .toytrain import LossConfig, make_toy_dataset, train_toy
+
     cfg = LossConfig(
         lambda_dino=args.lambda_dino,
         lambda_sup=args.lambda_sup,
@@ -380,6 +381,8 @@ def cmd_traintoy(args, files: _Files) -> None:
 
 
 def cmd_grad_check(args, files: _Files) -> None:
+    from .toytrain import grad_check_report
+
     worst = grad_check_report(seed=args.seed, trials=args.trials)
     for name in ("dino", "balanced_ce", "total"):
         print(f"{name}: max relative error {worst[name]!r}")
@@ -401,6 +404,7 @@ def _add_shift_flags(p) -> None:
     p.add_argument("--shift-seed", type=int, default=0, dest="shift_seed")
 
 
+@functools.cache  # built once per process: in-process callers run main many times
 def build_parser() -> _Parser:
     parser = _Parser(prog="hierknn", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -524,5 +528,23 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Process entry point of ``hierknn`` and ``python -m hierknn``: ``main``, then exit.
+
+    A finished command runs the atexit callbacks and flushes stdout and stderr,
+    as the interpreter does at exit, then skips the interpreter's teardown: every
+    file ``main`` wrote is closed by then. If a flush fails (a closed pipe), the
+    process exits the usual way, so Python reports it as it always has.
+    """
+    code = main()
+    atexit._run_exitfuncs()  # reports a failing callback itself, as at exit
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

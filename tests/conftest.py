@@ -18,21 +18,25 @@ from hierknn import BankError, FeatureBank, bank_build, default_taxonomy
 PACKAGE_ROOT = Path(hierknn.__file__).resolve().parent.parent
 
 
-def run_cli(args, cwd, stdin=None) -> subprocess.CompletedProcess:
+def run_cli(args, cwd, stdin=None, stdout=subprocess.PIPE, entry=("-m", "hierknn"),
+            unset=()) -> subprocess.CompletedProcess:
     """Run ``python -m hierknn *args`` in a fresh interpreter from ``cwd``.
 
     The child gets PACKAGE_ROOT first on its PYTHONPATH, so it runs the same
     package as the tests, whatever cwd is; the rest of the environment is
-    passed through unchanged. ``stdin`` is handed to the child as is (a
-    file descriptor or file object); by default it inherits ours.
+    passed through unchanged, less the variables named in ``unset``.
+    ``stdin`` and ``stdout`` are handed to the child as is (a file
+    descriptor or file object); by default it inherits our stdin, and its
+    stdout and stderr are captured as text. ``entry`` replaces
+    ``-m hierknn``, to add interpreter options or to run a ``-c`` script.
     """
-    env = dict(os.environ)
+    env = {key: value for key, value in os.environ.items() if key not in unset}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "hierknn", *args],
-        cwd=cwd, env=env, stdin=stdin, capture_output=True, text=True, timeout=300,
+        [sys.executable, *entry, *args], cwd=cwd, env=env, stdin=stdin, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=300,
     )
 
 

@@ -370,6 +370,18 @@ class TestBadInputs:
                                tmp_path / "r.json")
         assert "macro_f1" not in proc.stdout
 
+    def test_prediction_without_truth_record(self, tmp_path):
+        """A prediction whose id the truth lacks is rejected, not left out of the score."""
+        preds = self.classify_then_edit(tmp_path, lambda p: p)
+        truth = tmp_path / "q.jsonl"
+        truth.write_text("\n".join(truth.read_text().splitlines()[:10]) + "\n",
+                         encoding="utf-8")
+        proc = run(["evaluate", "--preds", "p.jsonl", "--truth", "q.jsonl",
+                    "--report", "r.json"], tmp_path)
+        self.assert_data_error(proc, f"prediction id {preds[10]['id']!r} has no truth record",
+                               tmp_path / "r.json")
+        assert "macro_f1" not in proc.stdout
+
     def test_non_string_leaf_in_predictions(self, tmp_path):
         preds = self.classify_then_edit(tmp_path, lambda p: [dict(p[0], y3=["BL"])] + p[1:])
         proc = run(["evaluate", "--preds", "p.jsonl", "--truth", "q.jsonl",
@@ -618,3 +630,50 @@ class TestEntryPoint:
             calls.clear()
             assert hierknn.cli.main(argv) == 0
             assert len(calls) == batches, argv
+
+
+class TestProcess:
+    """What a ``python -m hierknn`` child loads, and how it leaves once its command is done."""
+
+    def test_classify_child_loads_no_training_code(self, tmp_path):
+        """classify loads the modules it needs and the package's eager ones, not toytrain."""
+        make_synth(tmp_path)
+        proc = run(["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl", "--out", "p.jsonl"],
+                   tmp_path, entry=("-X", "importtime", "-m", "hierknn"))
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        ours = {name for name in loaded if name.split(".")[0] == "hierknn"}
+        assert "hierknn.toytrain" not in ours
+        assert ours == {f"hierknn{m}" for m in (
+            "", ".bank", ".cli", ".ensemble", ".errors", ".infer", ".knn", ".metrics",
+            ".synth", ".taxonomy",
+        )}
+
+    def test_closed_stdout_pipe_is_reported_as_python_reports_it(self, tmp_path):
+        """Output that cannot be flushed at exit gives Python's own message and exit 120."""
+        make_synth(tmp_path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run(["bank", "info", "bank.hbnk"], tmp_path, stdout=write_end,
+                       unset=("PYTHONUNBUFFERED",))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120
+        assert proc.stderr == (
+            "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+            "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"
+        )
+
+    def test_atexit_callbacks_run_after_the_output(self, tmp_path):
+        """A callback registered before the command still prints, after the command's output."""
+        make_synth(tmp_path)
+        script = ("import atexit, runpy\n"
+                  "atexit.register(print, 'atexit callback ran')\n"
+                  "runpy.run_module('hierknn', run_name='__main__')\n")
+        proc = run(["bank", "info", "bank.hbnk"], tmp_path, entry=("-c", script),
+                   unset=("PYTHONUNBUFFERED",))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("dim: 8\n")
+        assert proc.stdout.endswith("\natexit callback ran\n")
