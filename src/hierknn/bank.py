@@ -17,9 +17,8 @@ variable-size binary layout:
     zero padding to a 64-byte file offset
     vectors  (count, dim) f32
 
-and nothing after. Version 1 is read, never written: after the same first
-52 bytes (no id_bytes), each entry is a u16 id length, the UTF-8 id, its
-three u16 labels and its dim f32 values.
+and nothing after. A version-1 file, from a release before version 2, is
+rejected by name: rebuild it with ``bank build`` or ``synth``.
 
 Manifest format: one JSON object per line with fields ``id`` (string),
 ``label`` (leaf name), ``vector`` (array of numbers).
@@ -33,7 +32,6 @@ from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BankError, BankFormatError, ManifestError
 from .taxonomy import Taxonomy
@@ -42,10 +40,8 @@ EPS_NORM = 1e-12
 
 _MAGIC = b"HBNK"
 _VERSION = 2
-_HEADER = struct.Struct("<4sIIQ32sQ")  # v2: v1's header, then the id blob's length
-_HEADER_V1 = struct.Struct("<4sIIQ32s")
+_HEADER = struct.Struct("<4sIIQ32sQ")
 _ALIGN = 64  # file offset of the label and vector blocks
-_U16 = struct.Struct("<H")
 _LABELS = struct.Struct("<HHH")
 
 
@@ -349,28 +345,31 @@ def bank_save(bank: FeatureBank, sink: BinaryIO) -> None:
 
 
 def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
-    """Deserialize a v2 or v1 bank, checking magic, version, and taxonomy digest.
+    """Deserialize a v2 bank, checking magic, version, and taxonomy digest.
 
     The stream is read once, to its end, and no size from the header is
     trusted that the bytes read do not back: every section's size is
     checked against them before any array is made, for files and pipes
-    alike. A v2 bank's label and vector columns are copied out whole.
+    alike. The label and vector columns are copied out whole. A version-1
+    stream is rejected by name, before any size check.
     Label indices are range-checked against ``tax`` and vectors must be
     finite; parent consistency of stored triples is not re-derived,
     matching what was written.
     """
     data = source.read()
-    header = _HEADER_V1 if data[4:8] == (1).to_bytes(4, "little") else _HEADER
-    if len(data) < header.size:
-        raise BankFormatError(f"truncated stream ({len(data)} bytes, header needs {header.size})")
-    magic, version, dim, count, digest = header.unpack_from(data)[:5]
+    if data[:8] == _MAGIC + (1).to_bytes(4, "little"):  # an empty v1 bank is 52 bytes
+        raise BankFormatError("version 1 bank is no longer read: "
+                              "rebuild it with 'bank build' or 'synth'")
+    if len(data) < _HEADER.size:
+        raise BankFormatError(f"truncated stream ({len(data)} bytes, header needs {_HEADER.size})")
+    magic, version, dim, count, digest, blob_len = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise BankFormatError(f"bad magic {magic!r}")
-    if version not in (1, _VERSION):
+    if version != _VERSION:
         raise BankFormatError(f"unsupported version {version}")
     if digest != tax.digest:
         raise BankFormatError("taxonomy mismatch (digest differs)")
-    ids, labels, vectors = (_columns_v1 if version == 1 else _columns)(data, dim, count)
+    ids, labels, vectors = _columns(data, dim, count, blob_len)
     over = labels >= tax.sizes
     if over.any():
         i, level = divmod(int(np.argmax(over)), 3)
@@ -386,9 +385,8 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
         raise BankFormatError(str(exc)) from None
 
 
-def _columns(data: bytes, dim: int, count: int):
-    """A v2 bank's ids, (count, 3) labels and (count, dim) vectors, each block taken whole."""
-    blob_len = _HEADER.unpack_from(data)[5]
+def _columns(data: bytes, dim: int, count: int, blob_len: int):
+    """A bank's ids, (count, 3) labels and (count, dim) vectors, each block taken whole."""
     blob_at = _HEADER.size + 8 * (count + 1)
     labels_at = blob_at + blob_len + _padding(blob_at + blob_len)
     vectors_at = labels_at + _LABELS.size * count + _padding(labels_at + _LABELS.size * count)
@@ -455,46 +453,6 @@ def _split_ids(blob: bytes, offsets: np.ndarray, blob_at: int) -> list[str]:
         offsets = np.concatenate(([0], np.cumsum(lead)))[offsets]
     bounds = offsets.tolist()
     return [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
-
-
-def _columns_v1(data: bytes, dim: int, count: int):
-    """A v1 bank's ids, (count, 3) labels and (count, dim) vectors, walking its entries."""
-    block = _LABELS.size + 4 * dim
-    need = count * (_U16.size + block)
-    # what the fixed-size fields leave over is all the id bytes there can be
-    spare = len(data) - _HEADER_V1.size - need
-    if spare < 0:
-        raise BankFormatError(
-            f"truncated stream: header claims {count} entries of dim {dim}, at least "
-            f"{need} bytes, but {len(data) - _HEADER_V1.size} remain"
-        )
-
-    ids: list[str] = []
-    starts: list[int] = []  # where each entry's labels and vector begin
-    pos = _HEADER_V1.size
-    for i in range(count):
-        (id_len,) = _U16.unpack_from(data, pos)
-        spare -= id_len
-        if spare < 0:
-            raise BankFormatError(f"truncated stream: entry {i} at byte {pos} runs past the end")
-        start = pos + _U16.size
-        pos = start + id_len + block
-        try:
-            ids.append(data[start:start + id_len].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise BankFormatError(f"entry {i}: id at byte {start} is not valid UTF-8") from None
-        starts.append(pos - block)
-    if spare:
-        raise BankFormatError(f"trailing bytes after final entry (byte {pos})")
-    if count:  # a window wider than the stream is an error even with no entries to take
-        stream = np.frombuffer(data, dtype=np.uint8)
-        at = np.array(starts, dtype=np.intp)
-        labels = sliding_window_view(stream, _LABELS.size)[at].view("<u2")
-        vectors = sliding_window_view(stream, 4 * dim)[at + _LABELS.size].view("<f4")
-    else:
-        labels = np.empty((0, 3), dtype="<u2")
-        vectors = np.empty((0, dim), dtype="<f4")
-    return ids, labels, vectors
 
 
 def bank_merge(a: FeatureBank, b: FeatureBank) -> FeatureBank:

@@ -17,9 +17,10 @@ Config grammar (UTF-8 text):
     ...
 
 Blank lines are ignored and ``#`` starts a comment. Names must be unique
-across all levels and may not contain whitespace or ``->``. Node indices
-follow declaration order, so identical text always produces identical
-indices and an identical digest.
+across all levels and may not contain whitespace, ``->``, ``,`` or ``:``
+(the digest joins names with ``,`` and ``:``). Node indices follow
+declaration order, so identical text always produces identical indices
+and an identical digest.
 """
 from __future__ import annotations
 
@@ -164,7 +165,7 @@ def load_taxonomy(text: str) -> Taxonomy:
         else:
             if not arrow or not parent:
                 raise TaxonomyError(f"line {lineno}: orphan node {name!r} (missing parent edge)")
-        if not name or " " in name or "\t" in name:
+        if not name or any(c.isspace() or c in ",:" for c in name):
             raise TaxonomyError(f"line {lineno}: bad node name {name!r}")
         if name in seen:
             raise TaxonomyError(f"line {lineno}: duplicate name {name!r}")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import struct
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from hierknn import (
     read_manifest,
     write_manifest,
 )
-from conftest import bank_from_arrays, save_v1, unit_rows
+from conftest import bank_from_arrays, unit_rows
 
 
 def with_columns(bank: FeatureBank, labels=None, vectors=None) -> FeatureBank:
@@ -382,22 +383,8 @@ class TestSerialization:
         with pytest.raises(BankFormatError, match="taxonomy mismatch"):
             bank_load(buf, other)
 
-    def test_truncated_stream_rejected(self, tax):
-        buf = io.BytesIO()
-        save_v1(bank_from_arrays(tax, unit_rows(np.random.default_rng(2), 3, 4), [0, 1, 2]), buf)
-        data = buf.getvalue()
-        with pytest.raises(BankFormatError, match="truncated"):
-            bank_load(io.BytesIO(data[: len(data) - 3]), tax)
-
-    def test_trailing_bytes_rejected(self, tax):
-        buf = io.BytesIO()
-        save_v1(bank_from_arrays(tax, unit_rows(np.random.default_rng(3), 1, 4), [5]), buf)
-        with pytest.raises(BankFormatError, match="trailing"):
-            bank_load(io.BytesIO(buf.getvalue() + b"x"), tax)
-
     def test_long_id_round_trips(self, tax):
-        """v2 has no per-id length cap: a 70,000-byte id round-trips. (v1's
-        u16 id length capped ids at 65535 bytes; v1 is no longer written.)"""
+        """There is no per-id length cap: a 70,000-byte id round-trips."""
         ids = ["a", "bb", "x" * 70_000]
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(6), 3, 4), [0, 1, 2], ids=ids)
         assert roundtrip(bank, tax).ids == bank.ids
@@ -447,26 +434,6 @@ class TestSerialization:
         assert sink.written > 20_000 * 64 * 4
         assert peak <= 1.5 * sink.written, (peak, sink.written)
 
-    def test_v1_file_loads_to_the_bank_it_holds(self, tax):
-        """A v1 file still loads, to the same ids, labels and vectors, and
-        saves again as the v2 bytes of the bank it holds."""
-        rng = np.random.default_rng(12)
-        bank = bank_from_arrays(tax, unit_rows(rng, 40, 12),
-                                list(rng.integers(0, tax.leaf_count, 40)),
-                                ids=[f"id-α{i}" for i in range(40)])
-        v1, v2 = io.BytesIO(), io.BytesIO()
-        save_v1(bank, v1)
-        bank_save(bank, v2)
-        assert v1.getvalue()[4:8] == (1).to_bytes(4, "little")
-        assert v2.getvalue()[4:8] == (2).to_bytes(4, "little")
-        loaded = bank_load(io.BytesIO(v1.getvalue()), tax)
-        assert loaded.ids == bank.ids
-        assert loaded.labels.tobytes() == bank.labels.tobytes()
-        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
-        again = io.BytesIO()
-        bank_save(loaded, again)
-        assert again.getvalue() == v2.getvalue()
-
     def test_out_of_range_label_rejected(self, tax):
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(4), 1, 4), [0])
         labels = bank.labels.copy()
@@ -479,132 +446,13 @@ class TestSerialization:
             bank_load(buf, tax)
 
 
-class TestLoadRejectsBadInput:
-    """Corrupt v1 files: v1 is still read, so each of its checks still holds."""
-
-    @staticmethod
-    def saved(tax, ids=("a", "bb", "ccc"), dim=4):
-        rng = np.random.default_rng(5)
-        bank = bank_from_arrays(tax, unit_rows(rng, len(ids), dim),
-                                list(range(len(ids))), ids=list(ids))
-        buf = io.BytesIO()
-        save_v1(bank, buf)
-        return bank, buf.getvalue()
-
-    @staticmethod
-    def field_boundaries(bank) -> list[int]:
-        """Byte offset of every field boundary in a saved v1 bank."""
-        offsets, pos = [], 0
-        for size in (4, 4, 4, 8, 32):  # magic, version, dim, count, digest
-            pos += size
-            offsets.append(pos)
-        for rid in bank.ids:
-            for size in (2, len(rid.encode("utf-8")), 6, 4 * bank.dim):
-                pos += size
-                offsets.append(pos)
-        return offsets
-
-    def test_truncation_at_every_field_boundary(self, tax):
-        """Every cut, at a field boundary or inside a field, of a file or a
-        pipe, is a truncated stream: never a struct, index or decode error."""
-        bank, data = self.saved(tax)
-        boundaries = self.field_boundaries(bank)
-        assert boundaries[-1] == len(data)
-        for cut in range(len(data)):
-            for stream in (io.BytesIO, Unseekable):
-                with pytest.raises(BankFormatError, match="truncated"):
-                    bank_load(stream(data[:cut]), tax)
-
-    def test_invalid_utf8_id_names_entry_and_offset(self, tax):
-        _, data = self.saved(tax)
-        corrupt = bytearray(data)
-        offset = 52 + (2 + 1 + 6 + 16) + 2  # header, entry 0, entry 1's id length
-        assert corrupt[offset:offset + 2] == b"bb"
-        corrupt[offset] = 0xFF
-        message = f"entry 1: id at byte {offset} is not valid UTF-8"
-        with pytest.raises(BankFormatError, match=message):
-            bank_load(io.BytesIO(bytes(corrupt)), tax)
-
-    def test_source_needs_only_read(self, tax):
-        """The loader reads the source once and never seeks or tells."""
-        bank, data = self.saved(tax)
-
-        class ReadOnly:
-            def __init__(self):
-                self.calls = 0
-
-            def read(self, *args):
-                self.calls += 1
-                return data
-
-        source = ReadOnly()
-        loaded = bank_load(source, tax)
-        assert source.calls == 1
-        assert loaded.ids == bank.ids
-        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
-
-    def test_oversized_count_named_before_allocation(self, tax):
-        _, data = self.saved(tax)
-        header = bytearray(data)
-        header[12:20] = (2**40).to_bytes(8, "little")
-        with pytest.raises(BankFormatError, match=str(2**40)):
-            bank_load(io.BytesIO(bytes(header)), tax)
-
-    def test_oversized_dim_rejected(self, tax):
-        _, data = self.saved(tax)
-        header = bytearray(data)
-        header[8:12] = (2**31).to_bytes(4, "little")
-        with pytest.raises(BankFormatError, match="entries of dim 2147483648"):
-            bank_load(io.BytesIO(bytes(header)), tax)
-
-    def test_nan_vector_named(self, tax):
-        bank, _ = self.saved(tax)
-        vectors = bank.vectors.copy()
-        vectors[1, 2] = np.nan
-        bank = with_columns(bank, vectors=vectors)
-        buf = io.BytesIO()
-        save_v1(bank, buf)
-        with pytest.raises(BankFormatError, match="'bb': non-finite"):
-            bank_load(io.BytesIO(buf.getvalue()), tax)
-
-    def test_unseekable_stream_still_loads(self, tax):
-        bank, data = self.saved(tax)
-        loaded = bank_load(Unseekable(data), tax)
-        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
-
-    @pytest.mark.parametrize("field, value", [
-        (slice(12, 20), 2**40),  # count
-        (slice(8, 12), 2**31),   # dim
-    ])
-    def test_unseekable_oversized_header_is_truncation(self, tax, field, value):
-        """A pipe is read to its end and its header checked against the bytes
-        read, as a file's is; nothing is sized from the header alone."""
-        _, data = self.saved(tax)
-        header = bytearray(data)
-        header[field] = value.to_bytes(field.stop - field.start, "little")
-        with pytest.raises(BankFormatError, match="truncated"):
-            bank_load(Unseekable(bytes(header)), tax)
-
-    def test_out_of_range_label_names_entry_and_level(self, tax):
-        bank, _ = self.saved(tax)
-        labels = bank.labels.copy()
-        labels[2, 0] = tax.node_count(1)
-        labels[1, 1] = tax.node_count(2) + 7
-        bank = with_columns(bank, labels=labels)
-        buf = io.BytesIO()
-        save_v1(bank, buf)
-        limit = tax.node_count(2) + 7
-        with pytest.raises(BankFormatError, match=f"'bb': level-2 label {limit} out of range"):
-            bank_load(io.BytesIO(buf.getvalue()), tax)
-
-
 def _aligned(offset: int) -> int:
     return -(-offset // 64) * 64
 
 
 class TestLoadRejectsBadInputV2:
-    """Corrupt v2 files: the twins of TestLoadRejectsBadInput, and the
-    offset, padding and UTF-8 cut checks that only v2 has."""
+    """Corrupt v2 files: truncation, header, offset, padding and UTF-8 cut
+    checks, and out-of-range or non-finite entries."""
 
     @staticmethod
     def saved(tax, ids=("a", "bé", "ccc"), dim=4):
@@ -741,6 +589,20 @@ class TestLoadRejectsBadInputV2:
         corrupt[4:8] = (3).to_bytes(4, "little")
         with pytest.raises(BankFormatError, match="unsupported version 3"):
             bank_load(io.BytesIO(bytes(corrupt)), tax)
+
+    def test_version_1_rejected_by_name(self, tax):
+        """A version-1 header is named, with the way to rebuild, before any
+        size check: an empty v1 bank (52 bytes, shorter than a v2 header)
+        and a v1 header over a v2 body alike, from a file or a pipe."""
+        _, data = self.saved(tax)
+        empty_v1 = struct.pack("<4sIIQ32s", b"HBNK", 1, 4, 0, tax.digest)
+        assert len(empty_v1) == 52
+        v1_header = b"HBNK" + (1).to_bytes(4, "little") + data[8:]
+        for stream in (io.BytesIO, Unseekable):
+            for v1 in (empty_v1, v1_header):
+                with pytest.raises(BankFormatError, match="version 1.*rebuild") as err:
+                    bank_load(stream(v1), tax)
+                assert "truncated" not in str(err.value)
 
     def test_source_needs_only_read(self, tax):
         """The loader reads the source once and never seeks or tells."""

@@ -2,15 +2,12 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 
 import pytest
 
 from conftest import run_cli as run
-from conftest import save_v1
-from hierknn import bank_load, bank_save, default_taxonomy
 
 SMALL_CONFIG = """
 dim = 8
@@ -32,15 +29,6 @@ def assert_usage_error(proc):
     assert "usage:" in proc.stderr, proc.stderr
     assert "error:" in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
-
-
-def rewrite_as_v1(path) -> bytes:
-    """Rewrite the bank at ``path`` as a version-1 file; return its bytes."""
-    bank = bank_load(io.BytesIO(path.read_bytes()), default_taxonomy())
-    buf = io.BytesIO()
-    save_v1(bank, buf)
-    path.write_bytes(buf.getvalue())
-    return buf.getvalue()
 
 
 def make_synth(cwd, bank="bank.hbnk", queries="q.jsonl", seed_line=None, extra=()):
@@ -439,14 +427,25 @@ class TestBadInputs:
             tmp_path / "out")
 
     @staticmethod
-    def bank_bytes(tmp_path, version):
-        """The synth bank's bytes, rewritten as v1 first when ``version`` is 1."""
+    def bank_bytes(tmp_path):
+        """The synth bank's bytes."""
         make_synth(tmp_path)
-        path = tmp_path / "bank.hbnk"
-        return bytearray(rewrite_as_v1(path) if version == 1 else path.read_bytes())
+        return bytearray((tmp_path / "bank.hbnk").read_bytes())
 
-    def check_oversized_header(self, tmp_path, version):
-        data = self.bank_bytes(tmp_path, version)
+    @staticmethod
+    def run_on_a_pipe(args, tmp_path, data):
+        """Run ``args``, which read a bank from /dev/stdin, with ``data`` in an OS pipe."""
+        assert len(data) < 16384  # fits a pipe buffer, so one write cannot block
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, bytes(data))
+            os.close(write_end)
+            return run(args, tmp_path, stdin=read_end)
+        finally:
+            os.close(read_end)
+
+    def test_oversized_v2_bank_header(self, tmp_path):
+        data = self.bank_bytes(tmp_path)
         data[12:20] = (2**40).to_bytes(8, "little")
         (tmp_path / "huge.hbnk").write_bytes(bytes(data))
         info = run(["bank", "info", "huge.hbnk"], tmp_path)
@@ -456,41 +455,20 @@ class TestBadInputs:
                     "--out", "p.jsonl"], tmp_path)
         self.assert_data_error(proc, str(2**40), tmp_path / "p.jsonl")
 
-    def test_oversized_bank_header(self, tmp_path):
-        self.check_oversized_header(tmp_path, version=1)
-
-    def test_oversized_v2_bank_header(self, tmp_path):
-        self.check_oversized_header(tmp_path, version=2)
-
-    def check_oversized_header_through_a_pipe(self, tmp_path, version):
+    def test_oversized_v2_bank_header_through_a_pipe(self, tmp_path):
         """A pipe is read to its end, and the header's count is checked
         against the bytes read: a truncated stream, and a data error."""
-        data = self.bank_bytes(tmp_path, version)
+        data = self.bank_bytes(tmp_path)
         data[12:20] = (2**40).to_bytes(8, "little")
-        assert len(data) < 16384  # fits a pipe buffer, so one write cannot block
-        read_end, write_end = os.pipe()
-        try:
-            os.write(write_end, bytes(data))
-            os.close(write_end)
-            info = run(["bank", "info", "/dev/stdin"], tmp_path, stdin=read_end)
-        finally:
-            os.close(read_end)
+        info = self.run_on_a_pipe(["bank", "info", "/dev/stdin"], tmp_path, data)
         assert info.returncode == 2, info.stderr
         assert "truncated" in info.stderr, info.stderr
         assert "Traceback" not in info.stderr, info.stderr
 
-    def test_oversized_bank_header_through_a_pipe(self, tmp_path):
-        self.check_oversized_header_through_a_pipe(tmp_path, version=1)
-
-    def test_oversized_v2_bank_header_through_a_pipe(self, tmp_path):
-        self.check_oversized_header_through_a_pipe(tmp_path, version=2)
-
-    def check_invalid_utf8_bank_id(self, tmp_path, version):
-        data = self.bank_bytes(tmp_path, version)
-        if version == 1:  # entry 0's id, after the 52-byte header and its u16 length
-            offset = 54
-        else:  # the id blob, after the 60-byte header and count + 1 u64 offsets
-            offset = 60 + 8 * (int.from_bytes(data[12:20], "little") + 1)
+    def test_invalid_utf8_v2_bank_id(self, tmp_path):
+        data = self.bank_bytes(tmp_path)
+        # the id blob, after the 60-byte header and count + 1 u64 offsets
+        offset = 60 + 8 * (int.from_bytes(data[12:20], "little") + 1)
         data[offset] = 0xFF
         (tmp_path / "badid.hbnk").write_bytes(bytes(data))
         info = run(["bank", "info", "badid.hbnk"], tmp_path)
@@ -501,11 +479,23 @@ class TestBadInputs:
                     "--out", "p.jsonl"], tmp_path)
         self.assert_data_error(proc, "entry 0", tmp_path / "p.jsonl")
 
-    def test_invalid_utf8_bank_id(self, tmp_path):
-        self.check_invalid_utf8_bank_id(tmp_path, version=1)
-
-    def test_invalid_utf8_v2_bank_id(self, tmp_path):
-        self.check_invalid_utf8_bank_id(tmp_path, version=2)
+    def test_version_1_bank_rejected_by_name(self, tmp_path):
+        """A version-1 header, on the fixture bank's body or as a 52-byte
+        empty v1 bank, makes ``bank info`` and ``classify`` exit 2 naming the
+        version and the rebuild, from a file or a pipe, and write nothing."""
+        data = self.bank_bytes(tmp_path)
+        data[4:8] = (1).to_bytes(4, "little")
+        empty = data[:12] + bytes(8) + data[20:52]  # count 0, and no entries
+        classify = ["classify", "--queries", "q.jsonl", "--out", "p.jsonl", "--bank"]
+        for v1 in (data, empty):
+            (tmp_path / "v1.hbnk").write_bytes(bytes(v1))
+            for proc in (run(["bank", "info", "v1.hbnk"], tmp_path),
+                         self.run_on_a_pipe(["bank", "info", "/dev/stdin"], tmp_path, v1),
+                         run([*classify, "v1.hbnk"], tmp_path),
+                         self.run_on_a_pipe([*classify, "/dev/stdin"], tmp_path, v1)):
+                self.assert_data_error(proc, "error: version 1 bank", tmp_path / "p.jsonl")
+                assert "rebuild it with 'bank build' or 'synth'" in proc.stderr, proc.stderr
+                assert "truncated" not in proc.stderr, proc.stderr
 
 
 class TestPinnedOutputs:
@@ -520,9 +510,6 @@ class TestPinnedOutputs:
     manifests that hash a saved bank as an input, were re-pinned when
     banks began to be written as ``.hbnk`` v2.
     """
-
-    # the fixture bank as version 1 wrote it, before banks were written as v2
-    V1_BANK = "74a163980b520e35988114b8e91192b6d5a2e144e09930d058e83f82370f30db"
 
     PINNED = {
         "preds.jsonl": "4d11a493162feafc91832be980867e9ad099c00cec394298c6516ef75cfef329",
@@ -582,23 +569,6 @@ class TestPinnedOutputs:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.PINNED_SYNTH}
         assert digests == self.PINNED_SYNTH
-
-
-    def test_v1_fixture_bank_loads_resaves_and_classifies_as_pinned(self, tmp_path):
-        """The fixture bank written as v1 is the pinned v1 file; it loads,
-        saves again as the pinned v2 bank, and classifies to the pinned
-        predictions."""
-        make_synth(tmp_path)
-        v1 = rewrite_as_v1(tmp_path / "bank.hbnk")
-        assert hashlib.sha256(v1).hexdigest() == self.V1_BANK
-        resaved = io.BytesIO()
-        bank_save(bank_load(io.BytesIO(v1), default_taxonomy()), resaved)
-        assert hashlib.sha256(resaved.getvalue()).hexdigest() == self.PINNED_SYNTH["bank.hbnk"]
-        proc = run(["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl",
-                    "--out", "preds.jsonl", "--k", "5"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        preds = hashlib.sha256((tmp_path / "preds.jsonl").read_bytes()).hexdigest()
-        assert preds == self.PINNED["preds.jsonl"]
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 """Taxonomy parsing, validation, and the tree arrays."""
 from __future__ import annotations
 
+import re
 from importlib import resources
 
 import numpy as np
@@ -164,6 +165,21 @@ class TestParsing:
     def test_level1_node_with_parent_rejected(self):
         with pytest.raises(TaxonomyError, match="may not declare a parent"):
             load_taxonomy(MINIMAL.replace("Root\n", "Root -> up\n", 1))
+
+    @pytest.mark.parametrize("name", ["leaf,C", "leaf:C", "leaf C", "leaf\tC", "leaf\u00a0C"],
+                             ids=["comma", "colon", "space", "tab", "no-break-space"])
+    def test_name_with_separator_or_whitespace_rejected(self, name):
+        with pytest.raises(TaxonomyError, match=re.escape(f"line 9: bad node name {name!r}")):
+            load_taxonomy(MINIMAL + f"{name} -> mid\n")
+
+    def test_names_cannot_take_another_trees_digest(self):
+        """The digest joins names with ',' and ':', so names holding them
+        could give a 1/1/1 tree the digest of a 2/2/2 one; they are rejected."""
+        two = "[level1]\nA\nB\n[level2]\nh -> B\ng -> A\n[level3]\ny -> g\nx -> h\n"
+        one = "[level1]\nA,B\n[level2]\nh:1,g -> A,B\n[level3]\ny:1,x -> h:1,g\n"
+        assert load_taxonomy(two).sizes.tolist() == [2, 2, 2]
+        with pytest.raises(TaxonomyError, match="line 2: bad node name 'A,B'"):
+            load_taxonomy(one)
 
     def test_bad_section_rejected(self):
         with pytest.raises(TaxonomyError, match="unknown section"):
