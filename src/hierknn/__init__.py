@@ -23,12 +23,10 @@ from .bank import (
 )
 from .ensemble import (
     AblationRow,
-    EnsembleConfig,
     MemberOutputs,
     ablation_grid,
     combine_members,
     member_outputs,
-    run_ensemble,
 )
 from .errors import (
     BankError,

@@ -33,8 +33,8 @@ from .bank import (
     read_manifest,
     write_manifest,
 )
-from .ensemble import TIE_POLICIES, EnsembleConfig, ablation_grid, run_ensemble
-from .errors import HierknnError, ManifestError
+from .ensemble import TIE_POLICIES, ablation_grid, combine_members, member_outputs
+from .errors import BankError, HierknnError, ManifestError
 from .infer import classify_batch
 from .knn import DEFAULT_K
 from .metrics import score_predictions
@@ -124,8 +124,24 @@ class _Files:
             return fh.read()
 
     def read_bank(self, path, tax: Taxonomy) -> FeatureBank:
+        """``bank_load`` of ``path``; a bank that does not load is named in the error."""
         with self.open(path, "rb") as fh:
-            return bank_load(fh, tax)
+            try:
+                return bank_load(fh, tax)
+            except HierknnError as exc:
+                raise type(exc)(f"{path}: {exc}") from None
+
+    def read_banks(self, spec: str, tax: Taxonomy) -> list[FeatureBank]:
+        """The comma-separated member banks of ``spec``: none empty, all of the first one's dim."""
+        banks = []
+        for path in spec.split(","):
+            bank = self.read_bank(path, tax)
+            if len(bank) == 0:
+                raise BankError(f"{path}: empty bank")
+            if banks and bank.dim != banks[0].dim:
+                raise BankError(f"{path}: dim mismatch ({bank.dim} vs {banks[0].dim})")
+            banks.append(bank)
+        return banks
 
     def read_records(self, path) -> list[dict]:
         with self.open(path) as fh:
@@ -239,12 +255,11 @@ def cmd_classify(args, files: _Files) -> None:
 
 def cmd_ensemble(args, files: _Files) -> None:
     tax = _load_tax(args, files)
-    banks = tuple(files.read_bank(p, tax) for p in args.banks.split(","))
-    cfg = EnsembleConfig(banks, k=args.k, tie_policy=args.tie_policy)
+    banks = files.read_banks(args.banks, tax)
     queries = QuerySet.from_records(files.read_records(args.queries), banks[0].dim)
-    voted = run_ensemble(cfg, queries, tax, flat=args.flat)
-    labels = np.array(tax.names(3), dtype=object)[[leaf for _, leaf in voted]]
-    out_records = [{"id": qid, "label": label} for (qid, _), label in zip(voted, labels)]
+    members = [member_outputs(b, queries.vectors, args.k, tax, args.flat) for b in banks]
+    labels = np.array(tax.names(3), dtype=object)[combine_members(members, args.tie_policy)]
+    out_records = [{"id": qid, "label": label} for qid, label in zip(queries.ids, labels)]
     files.write_records(args.out, out_records)
     print(f"wrote {args.out}: {len(out_records)} predictions from {len(banks)} members")
 
@@ -282,7 +297,7 @@ def cmd_ablate(args, files: _Files, parser: _Parser) -> None:
                   if getattr(args, dest) != parser.get_default(dest)]
         if unused:
             parser.error(f"{', '.join(unused)} only apply when --banks is a member count")
-        banks = [files.read_bank(p, tax) for p in args.banks.split(",")]
+        banks = files.read_banks(args.banks, tax)
         records = files.read_records(args.queries)
         queries = QuerySet.from_records(records, banks[0].dim, labelled=True)
 

@@ -1,9 +1,10 @@
 """Majority-vote aggregation of leaf predictions from several member banks.
 
-A member is a (bank, k) pair, typically a bank built from a different
-train split or model export. Each member classifies a query independently
-and reports a confidence margin from its own leaf vote; the ensemble takes
-the most frequent leaf, breaking ties per the configured policy.
+A member is a bank, typically built from a different train split or model
+export. Each member classifies the queries independently
+(:func:`member_outputs`) and reports a confidence margin from its own leaf
+vote; the ensemble (:func:`combine_members`) takes the most frequent leaf,
+breaking ties per the chosen policy.
 """
 from __future__ import annotations
 
@@ -11,39 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import FeatureBank, QuerySet
+from .bank import FeatureBank
 from .errors import InferenceError
 from .infer import BatchPrediction, _vote, classify_batch
-from .knn import DEFAULT_K
 from .metrics import ConfusionMatrix, macro_f1
 from .taxonomy import Taxonomy
 
 TIE_POLICIES = ("similarity-margin", "first-member")
-
-
-@dataclass
-class EnsembleConfig:
-    member_banks: tuple[FeatureBank, ...]
-    k: int = DEFAULT_K
-    tie_policy: str = "similarity-margin"
-
-    def __post_init__(self):
-        self.member_banks = tuple(self.member_banks)
-        if not self.member_banks:
-            raise ValueError("ensemble needs at least one member bank")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.tie_policy not in TIE_POLICIES:
-            raise ValueError(f"unknown tie policy {self.tie_policy!r}")
-        digest = self.member_banks[0].taxonomy_digest
-        if any(b.taxonomy_digest != digest for b in self.member_banks):
-            raise InferenceError("member banks disagree on taxonomy digest")
-        dim = self.member_banks[0].dim
-        for b in self.member_banks:
-            if len(b) == 0:
-                raise InferenceError("empty member bank")
-            if b.dim != dim:
-                raise InferenceError(f"member dim mismatch ({b.dim} vs {dim})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +47,8 @@ def member_outputs(
     bank: FeatureBank, queries, k: int, tax: Taxonomy, flat: bool = False
 ) -> MemberOutputs:
     """Run one member over query vectors; margin is the member's own leaf-vote margin."""
+    if bank.taxonomy_digest != tax.digest:  # the flat vote does not pass tax on
+        raise InferenceError("bank was built against a different taxonomy (digest mismatch)")
     return _outputs(classify_batch(bank, queries, k, None if flat else tax), k, flat)
 
 
@@ -101,16 +78,6 @@ def combine_members(members: list[MemberOutputs], policy: str = "similarity-marg
         margins = np.zeros(leaves.shape)
     winners, _ = _vote(codes, margins, len(members))
     return leaves[np.arange(n), winners].tolist()
-
-
-def run_ensemble(
-    cfg: EnsembleConfig, queries: QuerySet, tax: Taxonomy, flat: bool = False
-) -> list[tuple[str, int]]:
-    """Classify a query set with every member; (id, voted leaf index) per query, in order."""
-    members = [
-        member_outputs(bank, queries.vectors, cfg.k, tax, flat=flat) for bank in cfg.member_banks
-    ]
-    return list(zip(queries.ids, combine_members(members, cfg.tie_policy)))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from conftest import run_cli as run
+from hierknn import FeatureBank, bank_save
+from conftest import bank_from_arrays, run_cli as run, unit_rows
 
 SMALL_CONFIG = """
 dim = 8
@@ -489,13 +491,37 @@ class TestBadInputs:
         classify = ["classify", "--queries", "q.jsonl", "--out", "p.jsonl", "--bank"]
         for v1 in (data, empty):
             (tmp_path / "v1.hbnk").write_bytes(bytes(v1))
-            for proc in (run(["bank", "info", "v1.hbnk"], tmp_path),
-                         self.run_on_a_pipe(["bank", "info", "/dev/stdin"], tmp_path, v1),
-                         run([*classify, "v1.hbnk"], tmp_path),
-                         self.run_on_a_pipe([*classify, "/dev/stdin"], tmp_path, v1)):
-                self.assert_data_error(proc, "error: version 1 bank", tmp_path / "p.jsonl")
+            for name, proc in (
+                ("v1.hbnk", run(["bank", "info", "v1.hbnk"], tmp_path)),
+                ("/dev/stdin", self.run_on_a_pipe(["bank", "info", "/dev/stdin"], tmp_path, v1)),
+                ("v1.hbnk", run([*classify, "v1.hbnk"], tmp_path)),
+                ("/dev/stdin", self.run_on_a_pipe([*classify, "/dev/stdin"], tmp_path, v1)),
+            ):
+                self.assert_data_error(proc, f"error: {name}: version 1 bank",
+                                       tmp_path / "p.jsonl")
                 assert "rebuild it with 'bank build' or 'synth'" in proc.stderr, proc.stderr
                 assert "truncated" not in proc.stderr, proc.stderr
+
+    def test_bad_member_bank_named_alike_by_ensemble_and_ablate(self, tmp_path, tax):
+        """An empty member, one of another dim and one with a version-1 header
+        make ``ensemble`` and file-mode ``ablate`` exit 2 with one message
+        that names the member's file, and write nothing."""
+        data = self.bank_bytes(tmp_path)
+        data[4:8] = (1).to_bytes(4, "little")
+        (tmp_path / "v1.hbnk").write_bytes(bytes(data))
+        rng = np.random.default_rng(0)
+        for name, bank in (("empty.hbnk", FeatureBank.empty(8, tax.digest)),
+                           ("wide.hbnk", bank_from_arrays(tax, unit_rows(rng, 3, 12), [0, 1, 2]))):
+            with open(tmp_path / name, "wb") as fh:
+                bank_save(bank, fh)
+        for bad, why in (("empty.hbnk", "empty bank"), ("wide.hbnk", "dim mismatch (12 vs 8)"),
+                         ("v1.hbnk", "version 1 bank")):
+            runs = {out: run([cmd, "--banks", f"bank.hbnk,{bad}", "--queries", "q.jsonl",
+                              "--out", out], tmp_path)
+                    for cmd, out in (("ensemble", "e.jsonl"), ("ablate", "g.csv"))}
+            for out, proc in runs.items():
+                self.assert_data_error(proc, f"error: {bad}: {why}", tmp_path / out)
+            assert runs["e.jsonl"].stderr == runs["g.csv"].stderr
 
 
 class TestPinnedOutputs:

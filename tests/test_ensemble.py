@@ -5,17 +5,13 @@ import numpy as np
 import pytest
 
 from hierknn import (
-    EnsembleConfig,
-    FeatureBank,
     InferenceError,
-    QuerySet,
     ablation_grid,
     classify_batch,
     combine_members,
     load_taxonomy,
     member_outputs,
     predict_hierarchical,
-    run_ensemble,
     vote_margin,
 )
 from hierknn.ensemble import MemberOutputs
@@ -178,56 +174,35 @@ class TestMemberOutputs:
         assert all(0.0 <= m <= 1.0 for m in out.margins)
 
 
-class TestConfig:
-    def test_validation(self, tax):
-        rng = np.random.default_rng(7)
-        bank = bank_from_arrays(tax, unit_rows(rng, 4, 5), [0, 1, 2, 3])
-        with pytest.raises(ValueError, match="at least one member"):
-            EnsembleConfig(())
-        with pytest.raises(ValueError, match="k must be"):
-            EnsembleConfig((bank,), k=0)
-        with pytest.raises(ValueError, match="tie policy"):
-            EnsembleConfig((bank,), tie_policy="random")
-        with pytest.raises(InferenceError, match="empty member bank"):
-            EnsembleConfig((bank, FeatureBank.empty(5, tax.digest)))
-
-    def test_member_dim_mismatch_rejected(self, tax):
-        rng = np.random.default_rng(8)
-        a = bank_from_arrays(tax, unit_rows(rng, 3, 5), [0, 1, 2])
-        b = bank_from_arrays(tax, unit_rows(rng, 3, 6), [0, 1, 2])
-        with pytest.raises(InferenceError, match="dim mismatch"):
-            EnsembleConfig((a, b))
-
-    def test_member_digest_mismatch_rejected(self, tax):
+class TestMemberChecks:
+    def test_bank_for_another_tree_rejected_in_both_modes(self, tax):
+        """The flat vote runs without the tree, yet still checks the bank's digest."""
         other = load_taxonomy("[level1]\nA\n[level2]\nm -> A\n[level3]\nx -> m\ny -> m\n")
         rng = np.random.default_rng(9)
-        a = bank_from_arrays(tax, unit_rows(rng, 3, 5), [0, 1, 2])
-        b = bank_from_arrays(other, unit_rows(rng, 3, 5), [0, 1, 0])
-        with pytest.raises(InferenceError, match="taxonomy digest"):
-            EnsembleConfig((a, b))
+        bank = bank_from_arrays(other, unit_rows(rng, 3, 5), [0, 1, 0])
+        for flat in (False, True):
+            with pytest.raises(InferenceError, match="digest mismatch"):
+                member_outputs(bank, unit_rows(rng, 3, 5), 1, tax, flat)
 
 
-class TestRunEnsemble:
-    def queries(self, rng, n, dim):
-        vectors = [unit_rows(rng, 1, dim)[0] for _ in range(n)]
-        return QuerySet([f"q{i}" for i in range(n)], np.asarray(vectors, dtype=np.float64))
+class TestMemberEnsemble:
+    """An ensemble as the ``ensemble`` command runs it: one ``member_outputs``
+    per bank, then ``combine_members``."""
 
     def test_single_member_matches_direct_calls(self, tax):
         rng = np.random.default_rng(10)
         bank = bank_from_arrays(tax, unit_rows(rng, 60, 6), list(rng.integers(0, 13, 60)))
-        queries = self.queries(rng, 12, 6)
-        preds = run_ensemble(EnsembleConfig((bank,), k=5), queries, tax)
-        assert tuple(qid for qid, _ in preds) == queries.ids
-        for q, (_, leaf) in zip(queries.vectors, preds):
-            assert leaf == predict_hierarchical(bank, q, 5, tax).y3
+        queries = unit_rows(rng, 12, 6).astype(np.float64)
+        preds = combine_members([member_outputs(bank, queries, 5, tax)])
+        assert preds == [predict_hierarchical(bank, q, 5, tax).y3 for q in queries]
 
     def test_identical_members_match_single(self, tax):
         rng = np.random.default_rng(11)
         bank = bank_from_arrays(tax, unit_rows(rng, 60, 6), list(rng.integers(0, 13, 60)))
-        queries = self.queries(rng, 10, 6)
-        one = run_ensemble(EnsembleConfig((bank,), k=7), queries, tax)
-        three = run_ensemble(EnsembleConfig((bank,) * 3, k=7), queries, tax)
-        assert one == three
+        queries = unit_rows(rng, 10, 6).astype(np.float64)
+        for flat in (False, True):
+            member = member_outputs(bank, queries, 7, tax, flat)
+            assert combine_members([member] * 3) == combine_members([member])
 
 
 class TestAblationGrid:
@@ -269,10 +244,8 @@ class TestSharedInference:
         assert q.astype(np.float32)[0] == q.astype(np.float32)[1]
         assert predict_hierarchical(bank, q, 1, tax).y3 == ly
         assert classify_batch(bank, [q], 1).flat_leaf[0] == ly
-        queries = QuerySet(["near-tie"], q[None])
         for flat in (False, True):
-            got = run_ensemble(EnsembleConfig((bank,), k=1), queries, tax, flat=flat)
-            assert got == [("near-tie", ly)]
+            assert combine_members([member_outputs(bank, q[None], 1, tax, flat)]) == [ly]
 
     def test_margins_match_vote_margin(self, tax):
         rng = np.random.default_rng(14)
