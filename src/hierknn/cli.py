@@ -131,10 +131,10 @@ class _Files:
             except HierknnError as exc:
                 raise type(exc)(f"{path}: {exc}") from None
 
-    def read_banks(self, spec: str, tax: Taxonomy) -> list[FeatureBank]:
-        """The comma-separated member banks of ``spec``: none empty, all of the first one's dim."""
+    def read_banks(self, paths, tax: Taxonomy) -> list[FeatureBank]:
+        """The banks at ``paths``: none empty, all of the first one's dim."""
         banks = []
-        for path in spec.split(","):
+        for path in paths:
             bank = self.read_bank(path, tax)
             if len(bank) == 0:
                 raise BankError(f"{path}: empty bank")
@@ -234,10 +234,10 @@ def cmd_bank_merge(args, files: _Files) -> None:
 
 def cmd_classify(args, files: _Files) -> None:
     tax = _load_tax(args, files)
-    bank = files.read_bank(args.bank, tax)
+    [bank] = files.read_banks([args.bank], tax)
     queries = QuerySet.from_records(files.read_records(args.queries), bank.dim)
 
-    res = classify_batch(bank, queries.vectors, args.k, None if args.flat else tax)
+    res = classify_batch(bank, queries.vectors, args.k, tax)
     if args.flat:
         paths = tax.paths[res.flat_leaf].T
         fallback = [[False, False, False]] * len(queries)
@@ -255,7 +255,7 @@ def cmd_classify(args, files: _Files) -> None:
 
 def cmd_ensemble(args, files: _Files) -> None:
     tax = _load_tax(args, files)
-    banks = files.read_banks(args.banks, tax)
+    banks = files.read_banks(args.banks.split(","), tax)
     queries = QuerySet.from_records(files.read_records(args.queries), banks[0].dim)
     members = [member_outputs(b, queries.vectors, args.k, tax, args.flat) for b in banks]
     labels = np.array(tax.names(3), dtype=object)[combine_members(members, args.tie_policy)]
@@ -297,7 +297,7 @@ def cmd_ablate(args, files: _Files, parser: _Parser) -> None:
                   if getattr(args, dest) != parser.get_default(dest)]
         if unused:
             parser.error(f"{', '.join(unused)} only apply when --banks is a member count")
-        banks = files.read_banks(args.banks, tax)
+        banks = files.read_banks(args.banks.split(","), tax)
         records = files.read_records(args.queries)
         queries = QuerySet.from_records(records, banks[0].dim, labelled=True)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import FeatureBank
-from .errors import InferenceError
 from .infer import BatchPrediction, _vote, classify_batch
 from .metrics import ConfusionMatrix, macro_f1
 from .taxonomy import Taxonomy
@@ -47,9 +46,7 @@ def member_outputs(
     bank: FeatureBank, queries, k: int, tax: Taxonomy, flat: bool = False
 ) -> MemberOutputs:
     """Run one member over query vectors; margin is the member's own leaf-vote margin."""
-    if bank.taxonomy_digest != tax.digest:  # the flat vote does not pass tax on
-        raise InferenceError("bank was built against a different taxonomy (digest mismatch)")
-    return _outputs(classify_batch(bank, queries, k, None if flat else tax), k, flat)
+    return _outputs(classify_batch(bank, queries, k, tax), k, flat)
 
 
 def combine_members(members: list[MemberOutputs], policy: str = "similarity-margin") -> list[int]:

@@ -10,8 +10,9 @@ records that the fallback fired.
 
 :func:`classify_batch` is the one entry point. It retrieves each query's
 neighbors once and tallies them once, over the nodes of all three levels
-(``Taxonomy.edges``); every vote, the flat one included, picks from that
-tally. :func:`predict_hierarchical` is its one-row form.
+(``Taxonomy.edges``); every vote, the flat leaf included, picks from that
+tally, so it always takes the taxonomy. :func:`predict_hierarchical` is its
+one-row form.
 """
 from __future__ import annotations
 
@@ -42,16 +43,15 @@ class BatchPrediction(NamedTuple):
 
     ``counts[level - 1]`` (m x C_level) is the tally behind ``y<level>``,
     over the fallback's neighbors where ``fallback[:, level - 1]`` is set.
-    Without a taxonomy only the flat columns are set.
     """
 
     flat_leaf: np.ndarray
     flat_counts: np.ndarray
-    y1: np.ndarray | None = None
-    y2: np.ndarray | None = None
-    y3: np.ndarray | None = None
-    fallback: np.ndarray | None = None
-    counts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    y1: np.ndarray
+    y2: np.ndarray
+    y3: np.ndarray
+    fallback: np.ndarray
+    counts: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _tally(labels: np.ndarray, sims: np.ndarray, edges):
@@ -83,23 +83,20 @@ def _nonzero(counts: np.ndarray) -> dict[int, int]:
     return {c: n for c, n in enumerate(counts.tolist()) if n}
 
 
-def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy | None = None) -> BatchPrediction:
+def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy) -> BatchPrediction:
     """Classify the rows of ``Q`` (m x dim), retrieving each query's neighbors once.
 
-    The flat leaf vote and, given ``tax``, the coarse-to-fine walk of the
-    module docstring count the same k neighbors, in one tally over the
-    nodes of all three levels. Without ``tax`` the flat tally spans the
-    bank's leaf indices.
+    The flat leaf vote and the coarse-to-fine walk of the module docstring
+    count the same k neighbors, in one tally over the nodes of all three
+    levels, so a flat caller still gets the walk's errors.
     """
-    if tax is not None and bank.taxonomy_digest != tax.digest:
+    if bank.taxonomy_digest != tax.digest:
         raise InferenceError("bank was built against a different taxonomy (digest mismatch)")
     Q = np.asarray(Q, dtype=np.float64)
     if Q.shape == (0,):
         Q = Q.reshape(0, bank.dim)
     indices, sims = search(bank, Q, k)
     labels = bank.labels[indices]
-    if tax is None:
-        return BatchPrediction(*_vote(labels[:, :, 2], sims, int(bank.label_max[2]) + 1))
     if (bank.label_max >= tax.sizes).any():
         raise InferenceError("bank label index out of range for the taxonomy")
 

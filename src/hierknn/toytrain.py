@@ -106,6 +106,10 @@ class LossConfig:
     tau_student: float = DEFAULT_TAU_STUDENT
 
     def __post_init__(self):
+        for name in ("lambda_dino", "lambda_sup", "tau_teacher", "tau_student"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.lambda_dino < 0 or self.lambda_sup < 0:
             raise ValueError("loss weights must be >= 0")
         if self.lambda_dino == 0 and self.lambda_sup == 0:

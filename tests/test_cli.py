@@ -223,6 +223,19 @@ class TestTrainToyCommand:
         assert lines[0] == "epoch,dino_loss,sup_loss,total_loss,eval_mf1"
         assert len(lines) == 9
 
+    def test_non_finite_loss_setting_rejected(self, tmp_path):
+        """A non-finite weight or temperature exits 2 naming the field, before any
+        output: no trace, and no manifest that JSON could not read."""
+        for flag, value, field in (("--tau-t", "inf", "tau_teacher"),
+                                   ("--tau-s", "inf", "tau_student"),
+                                   ("--lambda-dino", "nan", "lambda_dino"),
+                                   ("--lambda-sup", "inf", "lambda_sup")):
+            proc = run(["traintoy", flag, value, "--out", "t.csv"], tmp_path)
+            assert proc.returncode == 2, proc.stderr
+            assert f"error: {field} must be finite, got {value}" in proc.stderr, proc.stderr
+            assert not (tmp_path / "t.csv").exists()
+            assert not (tmp_path / "t.csv.manifest.json").exists()
+
 
 class TestGradCheckCommand:
     def test_reports_three_losses(self, tmp_path):
@@ -505,7 +518,8 @@ class TestBadInputs:
     def test_bad_member_bank_named_alike_by_ensemble_and_ablate(self, tmp_path, tax):
         """An empty member, one of another dim and one with a version-1 header
         make ``ensemble`` and file-mode ``ablate`` exit 2 with one message
-        that names the member's file, and write nothing."""
+        that names the member's file, and write nothing; ``classify`` on the
+        empty or the version-1 bank alone prints the same message."""
         data = self.bank_bytes(tmp_path)
         data[4:8] = (1).to_bytes(4, "little")
         (tmp_path / "v1.hbnk").write_bytes(bytes(data))
@@ -519,9 +533,36 @@ class TestBadInputs:
             runs = {out: run([cmd, "--banks", f"bank.hbnk,{bad}", "--queries", "q.jsonl",
                               "--out", out], tmp_path)
                     for cmd, out in (("ensemble", "e.jsonl"), ("ablate", "g.csv"))}
+            if bad != "wide.hbnk":  # alone, a dim-12 bank mismatches no other bank
+                runs["p.jsonl"] = run(["classify", "--bank", bad, "--queries", "q.jsonl",
+                                       "--out", "p.jsonl"], tmp_path)
             for out, proc in runs.items():
                 self.assert_data_error(proc, f"error: {bad}: {why}", tmp_path / out)
-            assert runs["e.jsonl"].stderr == runs["g.csv"].stderr
+            assert len({proc.stderr for proc in runs.values()}) == 1
+
+    def test_bank_whose_walk_cannot_finish_fails_every_mode(self, tmp_path, tax):
+        """Entries labelled [Blast, monocytic, MO] leave the walk no entry under
+        Blast, so the flat runs, which vote from the walk's tally, exit 2 with
+        the walk's message as ``classify`` and ``ablate`` do, and write nothing."""
+        rng = np.random.default_rng(18)
+        near = unit_rows(rng, 4, 5)
+        path = [tax.index_of(1, "Blast"), tax.index_of(2, "monocytic"), tax.index_of(3, "MO")]
+        bank = FeatureBank(5, ["a", "b", "c", "d"], np.asarray([path] * 4, dtype=np.uint16),
+                           near, tax.digest)
+        with open(tmp_path / "walk.hbnk", "wb") as fh:
+            bank_save(bank, fh)
+        (tmp_path / "q.jsonl").write_text(
+            "".join(json.dumps({"id": f"q{i}", "label": "MO", "vector": v.tolist()}) + "\n"
+                    for i, v in enumerate(near)), encoding="utf-8")
+        for args, out in (
+            (["classify", "--bank", "walk.hbnk"], "p.jsonl"),
+            (["classify", "--bank", "walk.hbnk", "--flat"], "pf.jsonl"),
+            (["ensemble", "--banks", "walk.hbnk", "--flat"], "e.jsonl"),
+            (["ablate", "--banks", "walk.hbnk"], "g.csv"),
+        ):
+            proc = run([*args, "--queries", "q.jsonl", "--out", out], tmp_path)
+            self.assert_data_error(proc, "no bank entry under predicted level-1 node 'Blast'",
+                                   tmp_path / out)
 
 
 class TestPinnedOutputs:

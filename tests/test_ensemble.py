@@ -170,7 +170,7 @@ class TestMemberOutputs:
             assert leaf == predict_hierarchical(bank, q, 5, tax).y3
         flat = member_outputs(bank, queries, 5, tax, flat=True)
         for q, leaf in zip(queries, flat.leaves):
-            assert leaf == classify_batch(bank, [q], 5).flat_leaf[0]
+            assert leaf == classify_batch(bank, [q], 5, tax).flat_leaf[0]
         assert all(0.0 <= m <= 1.0 for m in out.margins)
 
 
@@ -243,7 +243,7 @@ class TestSharedInference:
         q /= np.linalg.norm(q)
         assert q.astype(np.float32)[0] == q.astype(np.float32)[1]
         assert predict_hierarchical(bank, q, 1, tax).y3 == ly
-        assert classify_batch(bank, [q], 1).flat_leaf[0] == ly
+        assert classify_batch(bank, [q], 1, tax).flat_leaf[0] == ly
         for flat in (False, True):
             assert combine_members([member_outputs(bank, q[None], 1, tax, flat)]) == [ly]
 
@@ -255,7 +255,7 @@ class TestSharedInference:
         flat = member_outputs(bank, queries, 9, tax, flat=True)
         for q, hm, fm in zip(queries, hier.margins, flat.margins):
             assert hm == vote_margin(predict_hierarchical(bank, q, 9, tax).tallies[2], 9)
-            flat_counts = classify_batch(bank, [q], 9).flat_counts[0]
+            flat_counts = classify_batch(bank, [q], 9, tax).flat_counts[0]
             assert fm == vote_margin({c: n for c, n in enumerate(flat_counts.tolist()) if n}, 9)
 
     def test_ablation_retrieves_each_pair_once(self, tax, monkeypatch):

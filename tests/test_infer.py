@@ -81,7 +81,7 @@ class TestHierarchical:
         """3 BL against 4 spread Lymphoid leaves: flat keeps BL, levels differ."""
         bank = angled_bank(tax, ["BL", "BL", "BL", "LY", "VLY", "PLY", "PC"])
         q = axis_query()
-        flat = classify_batch(bank, [q], 7).flat_leaf[0]
+        flat = classify_batch(bank, [q], 7, tax).flat_leaf[0]
         assert flat == tax.index_of(3, "BL")
         pred = predict_hierarchical(bank, q, 7, tax)
         assert pred.y1 == tax.index_of(1, "Lymphoid")
@@ -91,7 +91,7 @@ class TestHierarchical:
         bank = angled_bank(tax, ["MO", "BL", "LY"])
         pred = predict_hierarchical(bank, axis_query(), 1, tax)
         assert [pred.y1, pred.y2, pred.y3] == tax.paths[tax.index_of(3, "MO")].tolist()
-        assert classify_batch(bank, [axis_query()], 1).flat_leaf[0] == tax.index_of(3, "MO")
+        assert classify_batch(bank, [axis_query()], 1, tax).flat_leaf[0] == tax.index_of(3, "MO")
 
     def test_tallies_count_the_neighborhood(self, tax):
         bank = angled_bank(tax, ["SNE", "SNE", "SNE", "LY", "LY"])
@@ -165,7 +165,7 @@ class TestFallback:
 class TestFlat:
     def test_unanimous_leaf(self, tax):
         bank = angled_bank(tax, ["EO"] * 4)
-        assert classify_batch(bank, [axis_query()], 4).flat_leaf[0] == tax.index_of(3, "EO")
+        assert classify_batch(bank, [axis_query()], 4, tax).flat_leaf[0] == tax.index_of(3, "EO")
 
     def test_agrees_with_hierarchical_when_unanimous(self, tax):
         """Shared-leaf neighborhoods collapse both predictors to that leaf."""
@@ -175,13 +175,13 @@ class TestFlat:
             n = int(rng.integers(3, 9))
             bank = bank_from_arrays(tax, unit_rows(rng, n, 5), [leaf] * n)
             q = unit_rows(rng, 1, 5)[0]
-            assert classify_batch(bank, [q], n).flat_leaf[0] == leaf
+            assert classify_batch(bank, [q], n, tax).flat_leaf[0] == leaf
             assert predict_hierarchical(bank, q, n, tax).y3 == leaf
 
     def test_tally_totals_bounded_by_k(self, tax):
         rng = np.random.default_rng(22)
         bank = bank_from_arrays(tax, unit_rows(rng, 40, 5), list(rng.integers(0, 13, 40)))
-        res = classify_batch(bank, unit_rows(rng, 1, 5), 7)
+        res = classify_batch(bank, unit_rows(rng, 1, 5), 7, tax)
         leaf, tally = res.flat_leaf[0], as_dict(res.flat_counts[0])
         assert sum(tally.values()) == 7
         assert tally[leaf] == max(tally.values())
@@ -316,7 +316,7 @@ class TestClassifyBatch:
             assert (pred.y1, pred.y2, pred.y3) == (res.y1[i], res.y2[i], res.y3[i])
             assert pred.fallback_used == tuple(res.fallback[i].tolist())
             assert pred.tallies == tuple(as_dict(c[i]) for c in res.counts)
-            one = classify_batch(bank, [q], 4)
+            one = classify_batch(bank, [q], 4, tax)
             assert (one.flat_leaf[0], as_dict(one.flat_counts[0])) == (res.flat_leaf[i],
                                                                        as_dict(res.flat_counts[i]))
 
@@ -330,12 +330,6 @@ class TestClassifyBatch:
         bank = angled_bank(tax, ["SNE", "SNE", "LY"])
         predict_hierarchical(bank, axis_query(), 3, tax)
         assert len(calls) == 1
-
-    def test_without_taxonomy_only_flat_columns(self, tax):
-        bank = angled_bank(tax, ["SNE", "SNE", "LY"])
-        res = classify_batch(bank, [axis_query()], 3)
-        assert res.y1 is None and res.counts is None and res.fallback is None
-        assert res.flat_leaf.tolist() == [tax.index_of(3, "SNE")]
 
     def test_empty_query_block(self, tax):
         bank = angled_bank(tax, ["SNE", "LY"])

@@ -152,7 +152,7 @@ class TestGenerate:
         bank, queries = generate(cfg, tax)
         hits = 0
         for rec in queries:
-            pred = classify_batch(bank, [rec["vector"]], 1).flat_leaf[0]
+            pred = classify_batch(bank, [rec["vector"]], 1, tax).flat_leaf[0]
             hits += pred == tax.index_of(3, rec["label"])
         assert hits / len(queries) >= 0.99
 
@@ -234,7 +234,7 @@ class TestApplyShift:
         def mf1_of(records):
             cm = ConfusionMatrix(tax.leaf_count)
             for rec in records:
-                pred = classify_batch(bank, [rec["vector"]], 7).flat_leaf[0]
+                pred = classify_batch(bank, [rec["vector"]], 7, tax).flat_leaf[0]
                 cm.add(tax.index_of(3, rec["label"]), pred)
             return macro_f1(cm)
 
