@@ -18,14 +18,18 @@ variable-size binary layout:
     vectors  (count, dim) f32
 
 and nothing after. A version-1 file, from a release before version 2, is
-rejected by name: rebuild it with ``bank build`` or ``synth``.
+rejected by name: rebuild it with ``bank build`` or ``synth``. A
+:class:`FeatureBank` holds its ids in the same column, offsets and blob, so
+a loaded bank's four columns are read-only views of the bytes read.
 
 Manifest format: one JSON object per line with fields ``id`` (string),
 ``label`` (leaf name), ``vector`` (array of numbers).
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 import struct
 from collections import Counter
 from itertools import chain
@@ -71,14 +75,16 @@ def normalize_rows(x, ids=None) -> np.ndarray:
 class FeatureBank:
     """Ordered, immutable collection of unit-norm embeddings with labels.
 
-    Storage is columnar: ids as a tuple, labels as a (n, 3) uint16 array,
-    vectors as a (n, dim) float32 array, both read-only views, so the bounds
-    cached from them (``max_norm``, ``label_max``) cannot go stale. Entry
-    order is insertion order.
-    The constructor checks shapes and id uniqueness but deliberately not
-    per-entry label-path consistency, so corrupted or adversarial banks can
-    be represented and exercised; the bank builders always derive
-    consistent paths.
+    Storage is columnar and read-only: ids as one UTF-8 blob (``id_blob``, a
+    uint8 array) cut by n + 1 u64 ``id_offsets``, as a bank file stores them;
+    labels as an (n, 3) uint16 array and vectors as an (n, dim) float32
+    array. The bounds cached from them (``max_norm``, ``label_max``)
+    therefore cannot go stale. ``ids`` decodes the blob into a tuple of str
+    on first use and keeps it. Entry order is insertion order.
+    The constructor encodes ``ids`` once and checks shapes and id uniqueness
+    but deliberately not per-entry label-path consistency, so corrupted or
+    adversarial banks can be represented and exercised; the bank builders
+    always derive consistent paths.
     """
 
     def __init__(
@@ -89,27 +95,51 @@ class FeatureBank:
         vectors: np.ndarray,
         taxonomy_digest: bytes,
     ):
+        self._init(dim, *_encode_ids(tuple(ids)), labels, vectors, taxonomy_digest)
+
+    @classmethod
+    def _from_id_column(cls, dim, id_blob, id_offsets, labels, vectors, taxonomy_digest,
+                        finite=False) -> "FeatureBank":
+        """A bank whose ids come encoded, as a bank file stores them.
+
+        The offsets must run from 0 to the blob's end, never decrease and
+        cut valid UTF-8 at character boundaries; nothing checks that here.
+        ``finite`` also rejects a non-finite vector, naming its entry,
+        before the ids are checked for uniqueness.
+        """
+        bank = cls.__new__(cls)
+        bank._init(dim, id_blob, id_offsets, labels, vectors, taxonomy_digest, finite)
+        return bank
+
+    def _init(self, dim, id_blob, id_offsets, labels, vectors, taxonomy_digest, finite=False):
         self.dim = int(dim)
-        self.ids: tuple[str, ...] = tuple(ids)
+        self.id_blob = np.ascontiguousarray(id_blob, dtype=np.uint8).view()
+        self.id_offsets = np.ascontiguousarray(id_offsets, dtype="<u8").view()
         self.labels = np.ascontiguousarray(labels, dtype=np.uint16).view()
         self.vectors = np.ascontiguousarray(vectors, dtype=np.float32).view()
-        self.labels.flags.writeable = self.vectors.flags.writeable = False
+        for column in (self.id_blob, self.id_offsets, self.labels, self.vectors):
+            column.flags.writeable = False
         self.taxonomy_digest = bytes(taxonomy_digest)
         if self.dim < 1:
             raise BankError(f"bank dim must be >= 1, got {self.dim}")
         if len(self.taxonomy_digest) != 32:
             raise BankError("taxonomy digest must be 32 bytes")
-        n = len(self.ids)
+        n = len(self)
         if self.labels.shape != (n, 3):
             raise BankError(f"labels shape {self.labels.shape} != ({n}, 3)")
         if self.vectors.shape != (n, self.dim):
             raise BankError(f"vectors shape {self.vectors.shape} != ({n}, {self.dim})")
-        if len(set(self.ids)) != n:
-            dup = next(rid for rid, count in Counter(self.ids).items() if count > 1)
-            raise BankError(f"duplicate id {dup!r}")
-        # largest row norm, summed in f64: bounds the rounding of f32 scores
+        # largest row norm, summed in f64: bounds the rounding of f32 scores; from
+        # f32 rows it is finite exactly when every element is
         sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64)
         self.max_norm = float(np.sqrt(sq_norms.max(initial=0.0)))
+        if finite and not math.isfinite(self.max_norm):
+            i = int(np.argmin(np.isfinite(self.vectors).all(axis=1)))
+            raise BankError(f"entry {_id_at(self.id_blob, self.id_offsets, i)!r}: "
+                            "non-finite vector")
+        dup = _duplicate_id(self.id_blob, self.id_offsets)
+        if dup is not None:
+            raise BankError(f"duplicate id {dup!r}")
         # per level, for range checks; by column, ~20x faster than along axis 0
         self.label_max = np.array([column.max(initial=0) for column in self.labels.T])
 
@@ -123,8 +153,18 @@ class FeatureBank:
             taxonomy_digest,
         )
 
+    @functools.cached_property
+    def ids(self) -> tuple[str, ...]:
+        """The entries' ids, decoded from the blob on first use."""
+        text = str(self.id_blob, "utf-8")
+        offsets = self.id_offsets
+        if len(text) != len(self.id_blob):  # character offsets: lead bytes before each byte offset
+            offsets = np.concatenate(([0], np.cumsum(self.id_blob & 0xC0 != 0x80)))[offsets]
+        bounds = offsets.tolist()
+        return tuple(text[start:stop] for start, stop in zip(bounds, bounds[1:]))
+
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.id_offsets) - 1
 
     def leaf_histogram(self) -> dict[int, int]:
         """Entry count per leaf index, leaves with entries only."""
@@ -133,6 +173,64 @@ class FeatureBank:
 
     def __repr__(self) -> str:
         return f"FeatureBank(dim={self.dim}, entries={len(self)})"
+
+
+def _id_at(blob: np.ndarray, offsets: np.ndarray, i: int) -> str:
+    """Entry ``i``'s id, decoded alone."""
+    return str(blob[offsets[i]:offsets[i + 1]], "utf-8")
+
+
+# Masks that keep an id's first, or last, n <= 8 bytes of a little-endian u64.
+_KEEP_FIRST = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+_KEEP_LAST = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], np.uint64)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of each u64: a bijection that spreads every input bit."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _id_keys(blob: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """A u64 key per id cut from ``blob``: equal ids always get equal keys.
+
+    The key mixes the id's byte length with its first and its last <= 8
+    bytes, each taken in one gather of unaligned u64 words from the blob
+    padded with 8 zero bytes at each end.
+    """
+    padded = np.zeros(len(blob) + 16, np.uint8)
+    padded[8:-8] = blob
+    words = np.ndarray((len(blob) + 9,), "<u8", padded, 0, (1,))  # word j: padded[j:j + 8]
+    starts, ends = offsets[:-1], offsets[1:]
+    lengths = ends - starts
+    short = np.minimum(lengths, 8)
+    first = words[starts + 8] & _KEEP_FIRST[short]
+    last = words[ends] & _KEEP_LAST[short]
+    return _mix(_mix(first ^ lengths) ^ last)
+
+
+def _duplicate_id(blob: np.ndarray, offsets: np.ndarray) -> str | None:
+    """The first id, by first occurrence, that occurs more than once; None if none does.
+
+    Ids whose keys are all distinct are distinct, so only the ids whose
+    keys tie are compared exactly, as bytes.
+    """
+    keys = _id_keys(blob, offsets)
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    order = np.argsort(keys)
+    tie = keys[order[1:]] == keys[order[:-1]]
+    tied = np.zeros(len(keys), bool)
+    tied[order[1:][tie]] = tied[order[:-1][tie]] = True
+    rows = np.flatnonzero(tied)  # in entry order
+    raw = blob.tobytes()
+    pieces = [raw[start:stop] for start, stop in zip(offsets[rows].tolist(),
+                                                     offsets[rows + 1].tolist())]
+    if len(set(pieces)) == len(pieces):
+        return None
+    return next(piece for piece, count in Counter(pieces).items() if count > 1).decode("utf-8")
 
 
 class QuerySet:
@@ -303,8 +401,8 @@ def _padding(end: int) -> int:
     return -end % _ALIGN
 
 
-def _encode_ids(ids: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
-    """The ids' UTF-8 back to back, and the (n + 1) byte offsets that split it.
+def _encode_ids(ids: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids' UTF-8 back to back, as a uint8 array, and the (n + 1) byte offsets that split it.
 
     One encode of the joined ids; where a character takes more than one
     byte, each id's end is found from its character offset in one pass.
@@ -320,23 +418,23 @@ def _encode_ids(ids: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
     if len(blob) != len(text):
         offsets = np.append(np.flatnonzero(np.frombuffer(blob, np.uint8) & 0xC0 != 0x80),
                             len(blob))[offsets]
-    return blob, offsets.astype("<u8")
+    return np.frombuffer(blob, np.uint8), offsets.astype("<u8")
 
 
 def bank_save(bank: FeatureBank, sink: BinaryIO) -> None:
     """Serialize a bank as v2; round-trips bit-exactly through :func:`bank_load`.
 
-    Every id is encoded before anything is written; the blocks then go out
-    straight from the bank's arrays, in as many writes for any bank size.
+    The id column goes out as the bank stores it, and the label and vector
+    blocks straight from the bank's arrays, in as many writes for any bank size.
     """
-    blob, offsets = _encode_ids(bank.ids)
     n = len(bank)
+    blob = bank.id_blob
     header = _HEADER.pack(_MAGIC, _VERSION, bank.dim, n, bank.taxonomy_digest, len(blob))
     labels = bank.labels.astype("<u2", copy=False)
-    blob_end = _HEADER.size + offsets.nbytes + len(blob)
+    blob_end = _HEADER.size + bank.id_offsets.nbytes + len(blob)
     labels_end = blob_end + _padding(blob_end) + labels.nbytes
     sink.write(header)
-    sink.write(offsets)
+    sink.write(bank.id_offsets)
     sink.write(blob)
     sink.write(bytes(_padding(blob_end)))
     sink.write(labels)
@@ -350,11 +448,14 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
     The stream is read once, to its end, and no size from the header is
     trusted that the bytes read do not back: every section's size is
     checked against them before any array is made, for files and pipes
-    alike. The label and vector columns are copied out whole. A version-1
-    stream is rejected by name, before any size check.
-    Label indices are range-checked against ``tax`` and vectors must be
-    finite; parent consistency of stored triples is not re-derived,
-    matching what was written.
+    alike. The bank's id offsets, id blob, labels and vectors are then
+    read-only views of the bytes read: no block is copied, and no id is
+    decoded until ``ids`` is first read. A version-1 stream is rejected by
+    name, before any size check.
+    Offsets, padding and UTF-8 cuts are checked, label indices are
+    range-checked against ``tax``, then vectors must be finite, then ids
+    unique, and errors come in that order; parent consistency of stored
+    triples is not re-derived, matching what was written.
     """
     data = source.read()
     if data[:8] == _MAGIC + (1).to_bytes(4, "little"):  # an empty v1 bank is 52 bytes
@@ -369,24 +470,23 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
         raise BankFormatError(f"unsupported version {version}")
     if digest != tax.digest:
         raise BankFormatError("taxonomy mismatch (digest differs)")
-    ids, labels, vectors = _columns(data, dim, count, blob_len)
+    blob, offsets, labels, vectors = _columns(data, dim, count, blob_len)
     over = labels >= tax.sizes
     if over.any():
         i, level = divmod(int(np.argmax(over)), 3)
+        rid = _id_at(blob, offsets, i)
         raise BankFormatError(
-            f"entry {ids[i]!r}: level-{level + 1} label {labels[i, level]} out of range"
+            f"entry {rid!r}: level-{level + 1} label {labels[i, level]} out of range"
         )
-    if not np.isfinite(vectors).all():
-        i = int(np.argmin(np.isfinite(vectors).all(axis=1)))
-        raise BankFormatError(f"entry {ids[i]!r}: non-finite vector")
     try:
-        return FeatureBank(dim, ids, labels, vectors, digest)
+        return FeatureBank._from_id_column(dim, blob, offsets, labels, vectors, digest,
+                                           finite=True)
     except BankError as exc:
         raise BankFormatError(str(exc)) from None
 
 
 def _columns(data: bytes, dim: int, count: int, blob_len: int):
-    """A bank's ids, (count, 3) labels and (count, dim) vectors, each block taken whole."""
+    """Views of a bank's id blob, count + 1 id offsets, labels and vectors in the bytes read."""
     blob_at = _HEADER.size + 8 * (count + 1)
     labels_at = blob_at + blob_len + _padding(blob_at + blob_len)
     vectors_at = labels_at + _LABELS.size * count + _padding(labels_at + _LABELS.size * count)
@@ -416,54 +516,53 @@ def _columns(data: bytes, dim: int, count: int, blob_len: int):
         if stream[start:stop].any():
             at = start + int(np.argmax(stream[start:stop] != 0))
             raise BankFormatError(f"nonzero padding at byte {at}")
-    ids = _split_ids(data[blob_at:blob_at + blob_len], offsets, blob_at)
-    # Copied out of the bytes read, each block in one memcpy: numpy backs a
-    # large array with huge pages where the kernel allows, the bytes object
-    # is not, and a search scans the vectors about 5 % faster on huge pages.
-    # The copies also let the bytes read, ids and offsets included, be freed.
-    labels = np.frombuffer(data, "<u2", 3 * count, labels_at).reshape(count, 3).copy()
-    vectors = np.frombuffer(data, "<f4", dim * count, vectors_at).reshape(count, dim).copy()
-    return ids, labels, vectors
+    blob = stream[blob_at:blob_at + blob_len]
+    _check_utf8(blob, offsets, blob_at)
+    labels = np.frombuffer(data, "<u2", 3 * count, labels_at).reshape(count, 3)
+    vectors = np.frombuffer(data, "<f4", dim * count, vectors_at).reshape(count, dim)
+    return blob, offsets, labels, vectors
 
 
-def _split_ids(blob: bytes, offsets: np.ndarray, blob_at: int) -> list[str]:
-    """The ids in ``blob``, cut at ``offsets``; a bad one is named with its entry and byte.
+def _check_utf8(blob: np.ndarray, offsets: np.ndarray, blob_at: int) -> None:
+    """Check that each id cut from ``blob`` is valid UTF-8; name the first bad one's entry and byte.
 
-    The blob decodes once. Every id is then valid UTF-8 if no cut lands on a
-    continuation byte, as each piece of valid UTF-8 cut at a character
-    boundary is; only when that fails are the ids decoded one by one, to
-    name the first bad one.
+    The blob decodes once. Every id is then valid if the blob is ASCII, or
+    if no cut lands on a continuation byte, as each piece of valid UTF-8
+    cut at a character boundary is; only when that fails are the ids
+    decoded one by one, to name the first bad one.
     """
-    stream = np.frombuffer(blob, np.uint8)
-    lead = stream & 0xC0 != 0x80  # the first byte of each character
-    cuts = offsets[1:-1]
     try:
-        text = blob.decode("utf-8")
+        text = str(blob, "utf-8")
     except UnicodeDecodeError:
         text = None
-    if text is None or not lead[cuts[cuts < len(blob)]].all():
-        for i, (start, stop) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
-            try:
-                blob[start:stop].decode("utf-8")
-            except UnicodeDecodeError:
-                raise BankFormatError(
-                    f"entry {i}: id at byte {blob_at + start} is not valid UTF-8"
-                ) from None
-    if len(text) != len(blob):  # character offsets: lead bytes before each byte offset
-        offsets = np.concatenate(([0], np.cumsum(lead)))[offsets]
-    bounds = offsets.tolist()
-    return [text[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    if text is not None and len(text) == len(blob):
+        return
+    cuts = offsets[1:-1]
+    if text is not None and (blob[cuts[cuts < len(blob)]] & 0xC0 != 0x80).all():
+        return
+    raw = blob.tobytes()
+    for i, (start, stop) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        try:
+            raw[start:stop].decode("utf-8")
+        except UnicodeDecodeError:
+            raise BankFormatError(
+                f"entry {i}: id at byte {blob_at + start} is not valid UTF-8"
+            ) from None
 
 
 def bank_merge(a: FeatureBank, b: FeatureBank) -> FeatureBank:
-    """Concatenate two banks (a's entries first); dims and digests must match."""
+    """Concatenate two banks (a's entries first); dims and digests must match.
+
+    The id columns are joined as they are stored, with no id decoded.
+    """
     if a.dim != b.dim:
         raise BankError(f"dim mismatch ({a.dim} vs {b.dim})")
     if a.taxonomy_digest != b.taxonomy_digest:
         raise BankError("taxonomy mismatch (digest differs)")
-    return FeatureBank(
+    return FeatureBank._from_id_column(
         a.dim,
-        a.ids + b.ids,
+        np.concatenate([a.id_blob, b.id_blob]),
+        np.concatenate([a.id_offsets, b.id_offsets[1:] + len(a.id_blob)]),
         np.vstack([a.labels, b.labels]),
         np.vstack([a.vectors, b.vectors]),
         a.taxonomy_digest,

@@ -325,6 +325,8 @@ def train_toy(
         raise TrainingError("eval split must be nonempty and fully labeled")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not np.isfinite(lr):
+        raise ValueError(f"lr must be finite, got {lr}")
 
     if weights is None:
         labels = [int(p.label) for p in train if p.label is not None]
@@ -464,6 +466,9 @@ def make_toy_dataset(
     """
     if n_classes > dim:
         raise ValueError("need dim >= n_classes for orthogonal class means")
+    for name, v in (("separation", separation), ("view_sigma", view_sigma)):
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, n_classes)))
     means = separation * basis.T  # (n_classes, dim)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,17 +15,32 @@ from hierknn import (
     FeatureBank,
     ManifestError,
     QuerySet,
+    SynthConfig,
     bank_build,
     bank_build_arrays,
     bank_load,
     bank_merge,
     bank_save,
+    classify_batch,
+    generate,
     load_taxonomy,
     normalize_rows,
+    parse_synth_config,
     read_manifest,
     write_manifest,
 )
+from hierknn.bank import _duplicate_id, _encode_ids, _id_keys
 from conftest import bank_from_arrays, unit_rows
+
+
+SMALL_SYNTH = """
+dim = 8
+per_leaf_counts = 12, 10, 8, 20, 30, 12, 8, 6, 10, 24, 6, 5, 9
+lineage_separation = 3.0
+leaf_separation = 1.4
+noise_sigma = 0.7
+seed = 5
+"""  # the determinism fixture's synth config
 
 
 def with_columns(bank: FeatureBank, labels=None, vectors=None) -> FeatureBank:
@@ -680,6 +696,98 @@ class TestLoadRejectsBadInputV2:
         limit = tax.node_count(2) + 7
         with pytest.raises(BankFormatError, match=f"'bé': level-2 label {limit} out of range"):
             bank_load(io.BytesIO(buf.getvalue()), tax)
+
+
+ID_CHARS = ("a", "b", "é", "🙂")  # one, two and four UTF-8 bytes
+
+
+def random_id(rng, nbytes: int) -> str:
+    """A random id over ``ID_CHARS`` of exactly ``nbytes`` UTF-8 bytes."""
+    chars, left = [], nbytes
+    while left:
+        char = rng.choice([c for c in ID_CHARS if len(c.encode("utf-8")) <= left])
+        chars.append(char)
+        left -= len(char.encode("utf-8"))
+    return "".join(chars)
+
+
+class TestIdColumn:
+    """Ids stay one UTF-8 column: uniqueness is checked on u64 keys, with
+    exact comparison only where keys tie, and nothing decodes until read."""
+
+    def test_key_verdict_matches_set(self):
+        """Equal ids always get equal keys, and the uniqueness verdict is the
+        set's, for ids of 0-24 bytes that cross the 8- and 16-byte edges."""
+        rng = np.random.default_rng(2020)
+        for trial in range(40):
+            pool = [random_id(rng, int(rng.integers(0, 25))) for _ in range(50)]
+            n = int(rng.integers(1, 120))
+            ids = [pool[i] for i in rng.integers(0, len(pool), n)]
+            if trial % 2:
+                ids = list(dict.fromkeys(ids))  # unique, in first-occurrence order
+            blob, offsets = _encode_ids(tuple(ids))
+            key_of = {}
+            for rid, key in zip(ids, _id_keys(blob, offsets).tolist()):
+                assert key_of.setdefault(rid, key) == key, rid
+            dup = _duplicate_id(blob, offsets)
+            assert (dup is None) == (len(set(ids)) == len(ids))
+            assert dup == next((rid for rid, c in Counter(ids).items() if c > 1), None)
+
+    @pytest.mark.parametrize("a, b", [("abcdefgh-1-stuvwxyz", "abcdefgh-2-stuvwxyz"),
+                                      ("🙂🙂é-1-é🙂🙂", "🙂🙂é-2-é🙂🙂")])
+    def test_ids_sharing_length_and_ends(self, tax, a, b):
+        """Ids longer than 16 bytes with the same length and first and last 8
+        bytes tie on their keys: distinct ones load, equal ones are named."""
+        blob, offsets = _encode_ids((a, b))
+        keys = _id_keys(blob, offsets)
+        assert len(a.encode("utf-8")) > 16 and keys[0] == keys[1]
+        ids = (a, "m", b)
+        _, data = TestLoadRejectsBadInputV2.saved(tax, ids)
+        assert bank_load(io.BytesIO(data), tax).ids == ids
+        at = data.index(b.encode("utf-8"))
+        dup = data[:at] + a.encode("utf-8") + data[at + len(b.encode("utf-8")):]
+        with pytest.raises(BankFormatError, match=f"^duplicate id '{a}'$"):
+            bank_load(io.BytesIO(dup), tax)
+
+    def test_non_finite_vector_named_before_duplicate_id(self, tax):
+        bank, data = TestLoadRejectsBadInputV2.saved(tax, ids=("ab", "cd", "ef"))
+        vectors = bank.vectors.copy()
+        vectors[2, 0] = np.inf
+        buf = io.BytesIO()
+        bank_save(with_columns(bank, vectors=vectors), buf)
+        dup = buf.getvalue().replace(b"abcd", b"abab", 1)
+        with pytest.raises(BankFormatError, match="^entry 'ef': non-finite vector$"):
+            bank_load(io.BytesIO(dup), tax)
+        with pytest.raises(BankFormatError, match="^duplicate id 'ab'$"):
+            bank_load(io.BytesIO(data.replace(b"abcd", b"abab", 1)), tax)
+
+    @pytest.mark.parametrize("config", [None, SMALL_SYNTH])
+    def test_load_keeps_views_of_one_read(self, tax, config):
+        """A loaded bank's labels and vectors are read-only views of the one
+        buffer read; classify and save decode no id, and the save gives back
+        the file byte for byte (the stock and the determinism-fixture banks)."""
+        cfg = SynthConfig() if config is None else parse_synth_config(config)
+        bank, queries = generate(cfg, tax)
+        buf = io.BytesIO()
+        bank_save(bank, buf)
+        data = buf.getvalue()
+
+        class OneRead:
+            def read(self):
+                return data
+
+        loaded = bank_load(OneRead(), tax)
+        read = np.frombuffer(data, np.uint8)
+        for column in (loaded.labels, loaded.vectors):
+            assert np.shares_memory(column, read)
+            assert not column.flags.writeable
+        classify_batch(loaded, queries.vectors[:50], 5, tax)
+        again = io.BytesIO()
+        bank_save(loaded, again)
+        assert again.getvalue() == data
+        merged = bank_merge(loaded, FeatureBank.empty(loaded.dim, tax.digest))
+        assert "ids" not in loaded.__dict__ and "ids" not in merged.__dict__
+        assert loaded.ids == bank.ids and merged.ids == bank.ids
 
 
 class TestMerge:

@@ -224,15 +224,19 @@ class TestTrainToyCommand:
         assert len(lines) == 9
 
     def test_non_finite_loss_setting_rejected(self, tmp_path):
-        """A non-finite weight or temperature exits 2 naming the field, before any
-        output: no trace, and no manifest that JSON could not read."""
+        """A non-finite weight, temperature, dataset setting or step size exits 2
+        naming the field, before training starts: no numpy warning, no trace,
+        and no manifest that JSON could not read."""
         for flag, value, field in (("--tau-t", "inf", "tau_teacher"),
                                    ("--tau-s", "inf", "tau_student"),
                                    ("--lambda-dino", "nan", "lambda_dino"),
-                                   ("--lambda-sup", "inf", "lambda_sup")):
+                                   ("--lambda-sup", "inf", "lambda_sup"),
+                                   ("--separation", "inf", "separation"),
+                                   ("--view-sigma", "nan", "view_sigma"),
+                                   ("--lr", "inf", "lr")):
             proc = run(["traintoy", flag, value, "--out", "t.csv"], tmp_path)
             assert proc.returncode == 2, proc.stderr
-            assert f"error: {field} must be finite, got {value}" in proc.stderr, proc.stderr
+            assert proc.stderr == f"error: {field} must be finite, got {value}\n", proc.stderr
             assert not (tmp_path / "t.csv").exists()
             assert not (tmp_path / "t.csv.manifest.json").exists()
 
