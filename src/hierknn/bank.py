@@ -42,6 +42,11 @@ from .taxonomy import Taxonomy
 
 EPS_NORM = 1e-12
 
+# Values in one row block of the ingest loops (normalize_rows, the records
+# QuerySet.from_records parses at a time, synth's draws): 512 KB of float64,
+# 1,024 rows at dim 64, so their temporaries do not grow with the set.
+BLOCK_VALUES = 1 << 16
+
 _MAGIC = b"HBNK"
 _VERSION = 2
 _HEADER = struct.Struct("<4sIIQ32sQ")
@@ -49,27 +54,40 @@ _ALIGN = 64  # file offset of the label and vector blocks
 _LABELS = struct.Struct("<HHH")
 
 
+def block_rows(dim: int) -> int:
+    """Rows of ``dim`` values in one ingest block: at least 1."""
+    return max(1, BLOCK_VALUES // max(dim, 1))
+
+
 def normalize_rows(x, ids=None) -> np.ndarray:
     """Scale each row of an (n, d) block to unit norm; float32 out, float64 arithmetic.
 
     Each row's squared norm is its own BLAS dot product, summed as the one-row
     ``np.linalg.norm`` sums it, so row i equals ``normalize_rows(x[i:i + 1])``
-    bit for bit. Raises BankError naming the first non-finite or near-zero (norm <=
-    1e-12) row: as ``ids[i]`` if ids are given, else by index.
+    bit for bit. The rows go through in blocks of :func:`block_rows` into one
+    float32 output, so no float64 temporary spans the whole input. Raises
+    BankError naming the first non-finite or near-zero (norm <= 1e-12) row: as
+    ``ids[i]`` if ids are given, else by index.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2:
         raise BankError(f"expected an (n, d) block, got shape {x.shape}")
     if x.shape[1] == 0:
         raise BankError("empty vector")
-    norms = np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
-    finite = np.isfinite(x).all(axis=1)
-    bad = ~finite | (norms <= EPS_NORM)
-    if bad.any():
-        i = int(np.argmax(bad))
-        row = f"row {i}" if ids is None else f"record {ids[i]!r}"
-        raise BankError(f"{row}: {'zero-norm' if finite[i] else 'non-finite'} vector")
-    return (x / norms[:, None]).astype(np.float32)
+    out = np.empty(x.shape, np.float32)
+    step = block_rows(x.shape[1])
+    for start in range(0, len(x), step):
+        block = np.ascontiguousarray(x[start:start + step], dtype=np.float64)
+        norms = np.sqrt((block[:, None, :] @ block[:, :, None]).ravel())
+        finite = np.isfinite(block).all(axis=1)
+        bad = ~finite | (norms <= EPS_NORM)
+        if bad.any():
+            i = start + int(np.argmax(bad))
+            row = f"row {i}" if ids is None else f"record {ids[i]!r}"
+            why = "zero-norm" if finite[i - start] else "non-finite"
+            raise BankError(f"{row}: {why} vector")
+        np.divide(block, norms[:, None], out=out[start:start + step], casting="same_kind")
+    return out
 
 
 class FeatureBank:
@@ -238,7 +256,8 @@ class QuerySet:
 
     A query set from synth to search, or a bank manifest before
     :func:`bank_build`. ``vectors`` keeps its float dtype: float32 from synth,
-    float64 from :meth:`from_records`. Iterating yields manifest records
+    float64 from :meth:`from_records`, which parses a record stream a block
+    at a time. Iterating yields manifest records
     ``{"id", "label", "vector"}`` in that key order (no ``label`` when
     ``labels`` is None), which :func:`write_manifest` writes as they are.
     """
@@ -263,35 +282,46 @@ class QuerySet:
         Every vector must be a flat list of ``dim`` numbers (default: as many
         as the first record's; ``true`` and ``"1.5"`` are not numbers), finite
         and not all zero; ``labelled`` also requires a leaf ``label``. Errors
-        are ManifestErrors naming the first bad record.
+        are ManifestErrors naming the first bad record, checked in this order
+        over the whole stream: a vector that is not such a list, a non-finite
+        or zero vector, a missing label, a repeated id.
+
+        The records are read as a stream: each run of about ``BLOCK_VALUES``
+        vector entries becomes one float64 block, so no record outlives its
+        block. After a bad vector the stream is still read to its end, so an
+        error the stream itself raises (a bad JSON line) comes first.
         """
-        records = list(records)
-        ids = [rec["id"] for rec in records]
-        raw = [rec.get("vector") for rec in records]
-        vectors = _floats(raw)
-        if (vectors is None or vectors.ndim != 2 or dim not in (None, vectors.shape[1])
-                or not _numbers(chain.from_iterable(raw))):
-            for rid, entries in zip(ids, raw):  # one at a time, to name the first bad one
-                v = _floats(entries)  # a missing vector is 0-d
-                if v is None or v.ndim != 1 or not _numbers(entries):
-                    raise ManifestError(f"record {rid!r}: vector must be a flat list of numbers")
-                dim = len(v) if dim is None else dim
-                if len(v) != dim:
-                    raise ManifestError(
-                        f"dim mismatch: record {rid!r} has dim {len(v)}, expected {dim}"
-                    )
-            vectors = np.empty((0, dim or 0))  # every record passed, so there were none
-        finite = np.isfinite(vectors).all(axis=1)
-        bad = ~finite | ~vectors.any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            why = "zero-norm" if finite[i] else "non-finite"
-            raise ManifestError(f"record {ids[i]!r}: {why} vector")
-        labels = [rec.get("label") for rec in records] if labelled else None
-        for rid, label in zip(ids, labels or ()):
+        ids, labels, blocks = [], [], []
+        bad_row = None  # the first non-finite or zero vector's error
+        chunks = _chunks(records)
+        try:
+            for chunk in chunks:
+                chunk_ids = [rec["id"] for rec in chunk]
+                block = _vector_block(chunk_ids, [rec.get("vector") for rec in chunk], dim)
+                dim = block.shape[1]
+                finite = np.isfinite(block).all(axis=1)
+                bad = ~finite | ~block.any(axis=1)
+                if bad_row is None and bad.any():
+                    i = int(np.argmax(bad))
+                    why = "zero-norm" if finite[i] else "non-finite"
+                    bad_row = f"record {chunk_ids[i]!r}: {why} vector"
+                ids += chunk_ids
+                if labelled:
+                    labels += [rec.get("label") for rec in chunk]
+                blocks.append(block)
+                del chunk, block  # the next chunk is read without them
+        except ManifestError:
+            for _ in chunks:  # read on: an error of the stream itself comes first
+                pass
+            raise
+        if bad_row is not None:
+            raise ManifestError(bad_row)
+        for rid, label in zip(ids, labels):
             if not isinstance(label, str):
                 raise ManifestError(f"record {rid!r}: missing leaf label")
-        return cls(ids, vectors, labels)
+        vectors = np.concatenate(blocks) if blocks else np.empty((0, dim or 0))
+        del blocks
+        return cls(ids, vectors, labels if labelled else None)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -301,6 +331,42 @@ class QuerySet:
             rec = {"id": rid} if self.labels is None else {"id": rid, "label": self.labels[i]}
             rec["vector"] = self.vectors[i].tolist()
             yield rec
+
+
+def _chunks(records: Iterable[dict]) -> Iterator[list[dict]]:
+    """The records in lists of about ``BLOCK_VALUES`` vector entries each."""
+    chunk, size = [], 0
+    for rec in records:
+        chunk.append(rec)
+        vector = rec.get("vector")
+        size += len(vector) if isinstance(vector, list) else 1
+        if size >= BLOCK_VALUES:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _vector_block(ids: list[str], raw: list, dim) -> np.ndarray:
+    """One chunk's vectors as an (n, dim) float64 block (``dim`` None: any width).
+
+    A ManifestError names the chunk's first vector that is not a flat list
+    of numbers, or whose length differs from ``dim`` (where ``dim`` is None,
+    from the chunk's first vector's).
+    """
+    block = _floats(raw)
+    if (block is None or block.ndim != 2 or dim not in (None, block.shape[1])
+            or not _numbers(chain.from_iterable(raw))):
+        for rid, entries in zip(ids, raw):  # one at a time, to name the first bad one
+            v = _floats(entries)  # a missing vector is 0-d
+            if v is None or v.ndim != 1 or not _numbers(entries):
+                raise ManifestError(f"record {rid!r}: vector must be a flat list of numbers")
+            dim = len(v) if dim is None else dim
+            if len(v) != dim:
+                raise ManifestError(
+                    f"dim mismatch: record {rid!r} has dim {len(v)}, expected {dim}"
+                )
+    return block
 
 
 def _numbers(entries: Iterable) -> bool:
@@ -358,7 +424,9 @@ def leaf_indices(ids: Sequence[str], labels: Sequence, tax: Taxonomy) -> list[in
 def bank_build(records: Iterable[dict], tax: Taxonomy) -> FeatureBank:
     """Build a bank from manifest records, resolving leaf names to full paths.
 
-    The records parse as a labelled :class:`QuerySet` and their labels resolve
+    The records parse as a labelled :class:`QuerySet`, as a stream (pass
+    :func:`read_manifest` over an open file to keep no record past its
+    block), and their labels resolve
     through :func:`leaf_indices`, so every error names the first bad record;
     the columns go to :func:`bank_build_arrays`, which normalizes the rows and
     keeps the input order.

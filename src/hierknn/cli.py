@@ -34,11 +34,12 @@ from .bank import (
     write_manifest,
 )
 from .ensemble import TIE_POLICIES, ablation_grid, combine_members, member_outputs
-from .errors import BankError, HierknnError, ManifestError
+from .errors import BankError, HierknnError, ManifestError, SynthError
 from .infer import classify_batch
 from .knn import DEFAULT_K
 from .metrics import score_predictions
 from .synth import (
+    MAX_MEMBERS,
     ShiftSpec,
     SynthConfig,
     apply_shift,
@@ -143,9 +144,10 @@ class _Files:
             banks.append(bank)
         return banks
 
-    def read_records(self, path) -> list[dict]:
+    def read_records(self, path, parse=list):
+        """``parse`` of the records at ``path``, called while the file is open, so they stream."""
         with self.open(path) as fh:
-            return list(read_manifest(fh))
+            return parse(read_manifest(fh))
 
     def write_text(self, path, text: str) -> None:
         """Write ``text`` and a final newline."""
@@ -164,6 +166,10 @@ class _Files:
 _INTERNAL_ARGS = ("func", "command", "bank_command", "taxonomy_command")
 
 
+def _command(args) -> str:
+    return args.command if args.command != "bank" else f"bank {args.bank_command}"
+
+
 def _write_run_manifest(files: _Files, args) -> None:
     flags = {}
     for key, value in vars(args).items():
@@ -171,7 +177,7 @@ def _write_run_manifest(files: _Files, args) -> None:
             continue
         flags[key] = value if isinstance(value, (bool, int, float)) else str(value)
     doc = {
-        "command": args.command if args.command != "bank" else f"bank {args.bank_command}",
+        "command": _command(args),
         "flags": flags,
         "inputs": files.inputs,
         "version": __version__,
@@ -209,7 +215,7 @@ def cmd_taxonomy_validate(args, files: _Files) -> None:
 
 def cmd_bank_build(args, files: _Files) -> None:
     tax = _load_tax(args, files)
-    bank = bank_build(files.read_records(args.manifest), tax)
+    bank = files.read_records(args.manifest, functools.partial(bank_build, tax=tax))
     files.write_bank(args.out, bank)
     print(f"wrote {args.out}: {len(bank)} entries, dim {bank.dim}")
 
@@ -235,7 +241,8 @@ def cmd_bank_merge(args, files: _Files) -> None:
 def cmd_classify(args, files: _Files) -> None:
     tax = _load_tax(args, files)
     [bank] = files.read_banks([args.bank], tax)
-    queries = QuerySet.from_records(files.read_records(args.queries), bank.dim)
+    queries = files.read_records(args.queries, functools.partial(QuerySet.from_records,
+                                                                 dim=bank.dim))
 
     res = classify_batch(bank, queries.vectors, args.k, tax)
     if args.flat:
@@ -256,7 +263,8 @@ def cmd_classify(args, files: _Files) -> None:
 def cmd_ensemble(args, files: _Files) -> None:
     tax = _load_tax(args, files)
     banks = files.read_banks(args.banks.split(","), tax)
-    queries = QuerySet.from_records(files.read_records(args.queries), banks[0].dim)
+    queries = files.read_records(args.queries, functools.partial(QuerySet.from_records,
+                                                                 dim=banks[0].dim))
     members = [member_outputs(b, queries.vectors, args.k, tax, args.flat) for b in banks]
     labels = np.array(tax.names(3), dtype=object)[combine_members(members, args.tie_policy)]
     out_records = [{"id": qid, "label": label} for qid, label in zip(queries.ids, labels)]
@@ -286,6 +294,9 @@ def cmd_ablate(args, files: _Files, parser: _Parser) -> None:
         # synthetic mode: generate member banks sharing one geometry
         if n_members < 1:
             parser.error(f"--banks count must be >= 1, got {n_members}")
+        if n_members > MAX_MEMBERS:
+            raise SynthError(f"--banks {n_members} is more than the {MAX_MEMBERS} members "
+                             "ablate generates")
         if args.queries:
             parser.error("--queries only applies when --banks lists bank files")
         banks, queries = generate_member_banks(_synth_config(args, files), n_members, tax)
@@ -298,8 +309,10 @@ def cmd_ablate(args, files: _Files, parser: _Parser) -> None:
         if unused:
             parser.error(f"{', '.join(unused)} only apply when --banks is a member count")
         banks = files.read_banks(args.banks.split(","), tax)
-        records = files.read_records(args.queries)
-        queries = QuerySet.from_records(records, banks[0].dim, labelled=True)
+        queries = files.read_records(args.queries, functools.partial(
+            QuerySet.from_records, dim=banks[0].dim, labelled=True))
+        if not len(queries):
+            raise ManifestError(f"{args.queries}: no queries to score")
 
     truth = leaf_indices(queries.ids, queries.labels, tax)
     rows = ablation_grid(banks, queries.vectors, truth, args.k, tax, policy=args.tie_policy)
@@ -539,6 +552,10 @@ def main(argv=None) -> int:
             _write_run_manifest(files, args)
     except (HierknnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a backstop: sizes are meant to be checked before allocating
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {_command(args)}: out of memory{detail}", file=sys.stderr)
         return 2
     return 0
 

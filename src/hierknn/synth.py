@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import FeatureBank, QuerySet, bank_build_arrays, normalize_rows
+from .bank import FeatureBank, QuerySet, bank_build_arrays, block_rows, normalize_rows
 from .errors import SynthError
 from .taxonomy import Taxonomy
 
@@ -241,9 +241,21 @@ def _split_counts(cfg: SynthConfig, tax: Taxonomy) -> tuple[np.ndarray, np.ndarr
 
 
 def _draw(rng, means: np.ndarray, counts, sigma: float) -> np.ndarray:
-    """counts[i] unit-normalized samples around each leaf mean i, leaf by leaf."""
-    rows = np.repeat(means, counts, axis=0)
-    return normalize_rows(rows + sigma * rng.standard_normal(rows.shape))
+    """counts[i] unit-normalized float32 samples around each leaf mean i, leaf by leaf.
+
+    The noise is drawn and the rows normalized a block of :func:`block_rows`
+    at a time, into one float32 output. The generator's normal stream comes
+    out in order whatever the block, and each row is normalized alone, so the
+    samples do not depend on the block size.
+    """
+    leaves = np.repeat(np.arange(len(means)), counts)
+    out = np.empty((len(leaves), means.shape[1]), np.float32)
+    step = block_rows(means.shape[1])
+    for start in range(0, len(leaves), step):
+        rows = means[leaves[start:start + step]]
+        rows += sigma * rng.standard_normal(rows.shape)
+        out[start:start + step] = normalize_rows(rows)
+    return out
 
 
 def _ids(prefix: str, tax: Taxonomy, counts) -> list[str]:
@@ -269,11 +281,13 @@ def generate(cfg: SynthConfig, tax: Taxonomy) -> tuple[FeatureBank, QuerySet]:
     rng = np.random.default_rng(data_seed)
 
     # each leaf's samples are drawn together, its bank share first
-    leaves = np.repeat(np.arange(tax.leaf_count), n_bank + n_query)
     samples = _draw(rng, means, n_bank + n_query, cfg.noise_sigma)
     in_bank = np.concatenate([np.arange(b + q) < b for b, q in zip(n_bank, n_query)])
-    bank = bank_build_arrays(_ids("", tax, n_bank), leaves[in_bank], samples[in_bank], tax)
-    return bank, _query_set(tax, n_query, samples[~in_bank])
+    queries = _query_set(tax, n_query, samples[~in_bank])
+    rows = samples[in_bank]
+    del samples  # freed before the builder normalizes the bank share again
+    leaves = np.repeat(np.arange(tax.leaf_count), n_bank)
+    return bank_build_arrays(_ids("", tax, n_bank), leaves, rows, tax), queries
 
 
 # Each member bank stands in for a separate model export of the same data:
@@ -285,6 +299,10 @@ def generate(cfg: SynthConfig, tax: Taxonomy) -> tuple[FeatureBank, QuerySet]:
 # cleanest), so growing an ensemble prefix both averages out member biases
 # and mixes in progressively better members.
 _MEMBER_EXPORT_ROTATION = 0.9
+
+# The most member banks generate_member_banks makes (ablate --banks N): wide
+# headroom over the benchmark's 7, and each member is a whole bank.
+MAX_MEMBERS = 1000
 
 
 def generate_member_banks(
@@ -300,6 +318,8 @@ def generate_member_banks(
     """
     if n_members < 1:
         raise ValueError(f"need at least one member, got {n_members}")
+    if n_members > MAX_MEMBERS:
+        raise ValueError(f"at most {MAX_MEMBERS} members, got {n_members}")
     n_bank, n_query = _split_counts(cfg, tax)
     root = np.random.SeedSequence(cfg.seed)
     seeds = root.spawn(2 + n_members)
@@ -332,15 +352,22 @@ def apply_shift(queries: QuerySet, spec: ShiftSpec, seed: int) -> QuerySet:
 
     Each vector is rotated by the given angle inside one seeded random
     2-plane, offset by a seeded random bias direction, perturbed with
-    Gaussian noise, and re-normalized to float32.
+    Gaussian noise, and re-normalized to float32. Rows go through a block of
+    :func:`block_rows` at a time, in order, so no float64 temporary spans the
+    set and the result does not depend on the block size.
     """
-    x = queries.vectors.astype(np.float64)
+    x = queries.vectors
     dim = x.shape[1]
     rng = np.random.default_rng(seed)
     plane = _draw_plane(rng, dim)
     bias_vec = spec.bias * _unit(rng, dim)
-    # each row rotated as a (1, dim) block, so its projections onto the
-    # plane are one dot product each, summed as for a single record
-    rotated = _rotate_in_plane(x[:, None, :], plane, spec.rotation_angle)[:, 0]
-    shifted = rotated + bias_vec + spec.extra_noise * rng.standard_normal(x.shape)
-    return QuerySet(queries.ids, normalize_rows(shifted), queries.labels)
+    out = np.empty(x.shape, np.float32)
+    step = block_rows(dim)
+    for start in range(0, len(x), step):
+        block = x[start:start + step].astype(np.float64)
+        # each row rotated as a (1, dim) block, so its projections onto the
+        # plane are one dot product each, summed as for a single record
+        rotated = _rotate_in_plane(block[:, None, :], plane, spec.rotation_angle)[:, 0]
+        shifted = rotated + bias_vec + spec.extra_noise * rng.standard_normal(block.shape)
+        out[start:start + step] = normalize_rows(shifted)
+    return QuerySet(queries.ids, out, queries.labels)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ PACKAGE_ROOT = Path(hierknn.__file__).resolve().parent.parent
 
 
 def run_cli(args, cwd, stdin=None, stdout=subprocess.PIPE, entry=("-m", "hierknn"),
-            unset=()) -> subprocess.CompletedProcess:
+            unset=(), address_space=None) -> subprocess.CompletedProcess:
     """Run ``python -m hierknn *args`` in a fresh interpreter from ``cwd``.
 
     The child gets PACKAGE_ROOT first on its PYTHONPATH, so it runs the same
@@ -28,14 +29,18 @@ def run_cli(args, cwd, stdin=None, stdout=subprocess.PIPE, entry=("-m", "hierknn
     descriptor or file object); by default it inherits our stdin, and its
     stdout and stderr are captured as text. ``entry`` replaces
     ``-m hierknn``, to add interpreter options or to run a ``-c`` script.
+    ``address_space`` caps the child's virtual memory (``RLIMIT_AS``, in
+    bytes), so that a runaway allocation fails fast in the child alone.
     """
     env = {key: value for key, value in os.environ.items() if key not in unset}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
     )
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     return subprocess.run(
         [sys.executable, *entry, *args], cwd=cwd, env=env, stdin=stdin, stdout=stdout,
-        stderr=subprocess.PIPE, text=True, timeout=300,
+        stderr=subprocess.PIPE, text=True, timeout=300, preexec_fn=limit,
     )
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import json
 import struct
 import tracemalloc
 from collections import Counter
@@ -29,6 +30,7 @@ from hierknn import (
     read_manifest,
     write_manifest,
 )
+from hierknn import bank as bank_module
 from hierknn.bank import _duplicate_id, _encode_ids, _id_keys
 from conftest import bank_from_arrays, unit_rows
 
@@ -112,19 +114,24 @@ class TestNormalizeRows:
         """One row at a time, as a single-vector normalizer computes it."""
         return np.stack([(row / np.sqrt(row.dot(row))).astype(np.float32) for row in x])
 
-    def test_equals_per_row_reference_bit_for_bit(self):
+    def test_equals_per_row_reference_bit_for_bit(self, monkeypatch):
+        """Also with row blocks of 1 row, and of a few rows, so that most
+        inputs cross several blocks."""
         rng = np.random.default_rng(19)
         dims = [4, 5, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 64, 100, 128, 255, 256, 257]
         dims += rng.integers(4, 258, 20).tolist()
         for dim in dims:
             n = int(rng.integers(1, 40))
             x = rng.standard_normal((n, dim)) * rng.uniform(1e-3, 1e3, (n, 1))
-            once = normalize_rows(x)
-            assert once.dtype == np.float32
-            assert once.tobytes() == self.reference(x).tobytes(), dim
-            # a second pass over already-unit float32 rows, as bank building does
-            again = once.astype(np.float64)
-            assert normalize_rows(again).tobytes() == self.reference(again).tobytes(), dim
+            for values in (bank_module.BLOCK_VALUES, 1, 3 * dim + 1):
+                monkeypatch.setattr(bank_module, "BLOCK_VALUES", values)
+                once = normalize_rows(x)
+                assert once.dtype == np.float32
+                assert once.tobytes() == self.reference(x).tobytes(), (dim, values)
+                # a second pass over already-unit float32 rows, as bank building does
+                again = once.astype(np.float64)
+                assert normalize_rows(again).tobytes() == self.reference(again).tobytes(), dim
+                monkeypatch.undo()
 
     @pytest.mark.parametrize("bad, why", [
         (np.nan, "non-finite"),
@@ -313,6 +320,114 @@ class TestQuerySet:
         recs = [{"id": "ok", "label": "BL", "vector": [1.0]}, {"id": "bad", "vector": [1.0]}]
         with pytest.raises(ManifestError, match="record 'bad': missing leaf label"):
             QuerySet.from_records(recs, 1, labelled=True)
+
+
+def manifest_lines(records):
+    """The records as JSON Lines text, one string per line, made as they are read."""
+    return (json.dumps(rec) + "\n" for rec in records)
+
+
+class TestRecordBlocks:
+    """QuerySet.from_records parses a stream a block at a time (here: every two
+    dim-2 records), and still names the same record, by the same rule, as a
+    parse of the whole stream at once."""
+
+    @pytest.fixture(autouse=True)
+    def two_records_per_block(self, monkeypatch):
+        monkeypatch.setattr(bank_module, "BLOCK_VALUES", 4)
+
+    @staticmethod
+    def recs(n, **vectors):
+        out = [{"id": f"r{i}", "label": "BL", "vector": [1.0, float(i)]} for i in range(n)]
+        for rid, vector in vectors.items():
+            out[int(rid[1:])]["vector"] = vector
+        return out
+
+    def test_blocks_give_the_one_block_result(self, monkeypatch):
+        recs = self.recs(9, r3=[0.5, -2.0], r8=[3, 4])
+        blocked = QuerySet.from_records(read_manifest(manifest_lines(recs)), labelled=True)
+        monkeypatch.undo()
+        whole = QuerySet.from_records(recs, labelled=True)
+        assert blocked.ids == whole.ids and blocked.labels == whole.labels
+        assert blocked.vectors.dtype == np.float64
+        assert blocked.vectors.tobytes() == whole.vectors.tobytes()
+
+    def test_bad_json_after_bad_vector_comes_first(self):
+        lines = list(manifest_lines(self.recs(6, r1="abc"))) + ["{not json\n"]
+        with pytest.raises(ManifestError, match="line 7: invalid JSON"):
+            QuerySet.from_records(read_manifest(iter(lines)), 2)
+
+    def test_bad_vector_in_a_later_block_beats_an_earlier_non_finite_row(self):
+        recs = self.recs(8, r0=[float("nan"), 1.0], r5=["x", 1.0])
+        with pytest.raises(ManifestError, match="record 'r5': vector must be a flat list"):
+            QuerySet.from_records(recs, 2)
+        recs[5]["vector"] = [1.0, 2.0]
+        with pytest.raises(ManifestError, match="record 'r0': non-finite vector"):
+            QuerySet.from_records(recs, 2)
+
+    @pytest.mark.parametrize("dim", [None, 2])
+    def test_dim_mismatch_on_the_first_record_of_a_block_named(self, dim):
+        recs = self.recs(6, r4=[1.0, 2.0, 3.0])  # blocks: r0 r1 | r2 r3 | r4 r5
+        with pytest.raises(ManifestError,
+                           match="dim mismatch: record 'r4' has dim 3, expected 2"):
+            QuerySet.from_records(recs, dim)
+
+    def test_zero_row_beats_an_earlier_missing_label(self):
+        recs = self.recs(6, r5=[0.0, 0.0])
+        del recs[0]["label"]
+        with pytest.raises(ManifestError, match="record 'r5': zero-norm vector"):
+            QuerySet.from_records(recs, 2, labelled=True)
+        recs[5]["vector"] = [1.0, 0.0]
+        with pytest.raises(ManifestError, match="record 'r0': missing leaf label"):
+            QuerySet.from_records(recs, 2, labelled=True)
+
+    def test_repeated_id_across_blocks_named_after_the_vectors(self, tax):
+        recs = self.recs(6)
+        recs[4]["id"] = "r1"
+        with pytest.raises(BankError, match="duplicate id 'r1'"):
+            bank_build(recs, tax)
+        recs[5]["label"] = "XYZ"
+        with pytest.raises(BankError, match="duplicate id 'r1'"):
+            bank_build(recs, tax)
+
+
+class TestIngestMemory:
+    """Ingest keeps no whole-set float64 temporary and no parsed record past
+    its block: the traced peak (numpy's buffers included) is a small multiple
+    of the arrays the call returns."""
+
+    def test_bank_build_over_a_streamed_manifest(self, tax):
+        def lines(n, dim):
+            rng = np.random.default_rng(3)
+            names = tax.names(3)
+            for i in range(n):
+                yield json.dumps({"id": f"e{i}", "label": names[i % len(names)],
+                                  "vector": rng.standard_normal(dim).tolist()}) + "\n"
+
+        tracemalloc.start()
+        try:
+            bank = bank_build(read_manifest(lines(4096, 64)), tax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (bank.vectors, bank.labels, bank.id_blob,
+                                           bank.id_offsets))
+        # a parse that keeps every record until the end reads about 11x
+        assert peak <= 6 * returned, (peak, returned)
+
+    def test_generate(self, tax):
+        counts = tuple(2 * c for c in SynthConfig().per_leaf_counts)  # 3,872 rows
+        cfg = SynthConfig(dim=64, per_leaf_counts=counts, seed=4)
+        tracemalloc.start()
+        try:
+            bank, queries = generate(cfg, tax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (bank.vectors, bank.labels, bank.id_blob,
+                                           bank.id_offsets, queries.vectors))
+        # whole-set float64 draws and normalizing copies read about 6.5x
+        assert peak <= 4 * returned, (peak, returned)
 
 
 class TestManifestIO:

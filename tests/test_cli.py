@@ -188,6 +188,16 @@ class TestAblateCommand:
                 assert flag in proc.stderr, proc.stderr
             assert not (tmp_path / "g.csv").exists()
 
+    def test_bank_file_mode_rejects_an_empty_query_set(self, tmp_path):
+        """No macro F1 over zero queries: exit 2 naming the file, and no grid."""
+        make_synth(tmp_path)
+        (tmp_path / "empty.jsonl").write_text("\n", encoding="utf-8")
+        proc = run(["ablate", "--banks", "bank.hbnk", "--queries", "empty.jsonl",
+                    "--out", "g.csv"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: empty.jsonl: no queries to score" in proc.stderr
+        assert not (tmp_path / "g.csv").exists()
+
     def test_bank_file_mode_scores_saved_banks(self, tmp_path):
         make_synth(tmp_path, bank="m0.hbnk", queries="q.jsonl")
         make_synth(tmp_path, bank="m1.hbnk", queries="q1.jsonl", seed_line="seed = 6")
@@ -567,6 +577,34 @@ class TestBadInputs:
             proc = run([*args, "--queries", "q.jsonl", "--out", out], tmp_path)
             self.assert_data_error(proc, "no bank entry under predicted level-1 node 'Blast'",
                                    tmp_path / out)
+
+
+class TestSizes:
+    """A size a user can type is refused before it is allocated, or its failed
+    allocation is reported: exit 2, no traceback, no output. Each child runs
+    with its address space capped, so a regression fails fast in the child
+    instead of taking the host's memory."""
+
+    CAP = 1 << 30
+
+    @pytest.mark.parametrize("count", ["1001", "1000000000000"])
+    def test_member_count_over_the_cap_refused(self, tmp_path, count):
+        proc = run(["ablate", "--banks", count, "--out", "g.csv"], tmp_path,
+                   address_space=self.CAP)
+        TestBadInputs.assert_data_error(
+            proc, f"error: --banks {count} is more than the 1000 members", tmp_path / "g.csv")
+
+    @pytest.mark.parametrize("args", [
+        ["traintoy", "--dim", "1000000000000", "--out", "out"],
+        ["synth", "--config", "huge.cfg", "--out", "out", "--queries", "q.jsonl"],
+    ])
+    def test_failed_allocation_names_the_command(self, tmp_path, args):
+        (tmp_path / "huge.cfg").write_text(f"counts = {', '.join(['10' * 7] * 13)}\n",
+                                           encoding="utf-8")
+        proc = run(args, tmp_path, address_space=self.CAP)
+        TestBadInputs.assert_data_error(proc, f"error: {args[0]}: out of memory",
+                                        tmp_path / "out")
+        assert not (tmp_path / "out.manifest.json").exists()
 
 
 class TestPinnedOutputs:

@@ -23,6 +23,8 @@ from hierknn import (
     read_manifest,
     write_manifest,
 )
+from hierknn import bank as bank_module
+from hierknn.synth import _draw
 
 SMALL = SynthConfig(
     dim=8,
@@ -293,3 +295,28 @@ class TestApplyShift:
             ShiftSpec(float("nan"), 0.0, 0.0)
         with pytest.raises(ValueError, match="extra_noise"):
             ShiftSpec(0.0, 0.0, -0.1)
+
+
+class TestRowBlocks:
+    """Draws, shifts and builds go a block of rows at a time; the block size
+    never changes a result, bit for bit."""
+
+    def outputs(self, tax):
+        rng = np.random.default_rng(6)
+        means = rng.standard_normal((tax.leaf_count, 8))
+        drawn = _draw(np.random.default_rng(2), means, SMALL.per_leaf_counts, 0.7)
+        bank, queries = generate(SMALL, tax)
+        shifted = apply_shift(queries, MODERATE_SHIFT, seed=3)
+        members, member_queries = generate_member_banks(SMALL, 2, tax)
+        return [drawn, bank.vectors, queries.vectors, shifted.vectors,
+                *(m.vectors for m in members), member_queries.vectors]
+
+    @pytest.mark.parametrize("values", [1, 8 * 5 + 3])
+    def test_blocks_match_one_block(self, tax, monkeypatch, values):
+        """Rows of 1, or of 5 dim-8 rows, against a block that holds every set."""
+        monkeypatch.setattr(bank_module, "BLOCK_VALUES", 1 << 30)
+        whole = self.outputs(tax)
+        assert whole[0].dtype == np.float32 and len(whole[0]) == sum(SMALL.per_leaf_counts)
+        monkeypatch.setattr(bank_module, "BLOCK_VALUES", values)
+        for a, b in zip(self.outputs(tax), whole, strict=True):
+            assert a.tobytes() == b.tobytes()
