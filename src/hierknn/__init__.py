@@ -43,7 +43,6 @@ from .infer import (
     HierPrediction,
     classify_batch,
     predict_hierarchical,
-    vote_margin,
 )
 from .knn import DEFAULT_K, search
 from .metrics import (

@@ -144,7 +144,7 @@ class _Files:
             banks.append(bank)
         return banks
 
-    def read_records(self, path, parse=list):
+    def read_records(self, path, parse):
         """``parse`` of the records at ``path``, called while the file is open, so they stream."""
         with self.open(path) as fh:
             return parse(read_manifest(fh))
@@ -324,13 +324,16 @@ def cmd_ablate(args, files: _Files, parser: _Parser) -> None:
     print(f"wrote {args.out}: {len(rows)} ensemble sizes")
 
 
-def _leaves_by_id(records: list[dict], tax: Taxonomy, what: str) -> dict[str, int]:
+def _leaves_by_id(records, tax: Taxonomy, what: str) -> dict[str, int]:
     """Leaf index of each prediction or truth record, from its 'label', else its 'y3'.
 
-    Keyed by id in record order; a repeated id is a data error.
+    Keyed by id in record order; a repeated id is a data error. ``records``
+    may be a stream: only each record's id and leaf name are kept.
     """
-    ids = [rec["id"] for rec in records]
-    labels = [rec.get("label", rec.get("y3")) for rec in records]
+    ids, labels = [], []
+    for rec in records:
+        ids.append(rec["id"])
+        labels.append(rec.get("label", rec.get("y3")))
     by_id = {}
     for qid, leaf in zip(ids, leaf_indices(ids, labels, tax)):
         if qid in by_id:
@@ -341,8 +344,8 @@ def _leaves_by_id(records: list[dict], tax: Taxonomy, what: str) -> dict[str, in
 
 def cmd_evaluate(args, files: _Files) -> None:
     tax = _load_tax(args, files)
-    by_id = _leaves_by_id(files.read_records(args.preds), tax, "prediction")
-    truth = _leaves_by_id(files.read_records(args.truth), tax, "truth")
+    by_id = files.read_records(args.preds, lambda recs: _leaves_by_id(recs, tax, "prediction"))
+    truth = files.read_records(args.truth, lambda recs: _leaves_by_id(recs, tax, "truth"))
     try:
         preds = [by_id[qid] for qid in truth]
     except KeyError as exc:

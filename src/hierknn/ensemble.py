@@ -34,7 +34,7 @@ class MemberOutputs:
 
 
 def _outputs(res: BatchPrediction, k: int, flat: bool) -> MemberOutputs:
-    """Leaves and leaf-vote margins (see ``vote_margin``) of one member's batch."""
+    """Leaves and leaf-vote margins, (top count - runner-up count) / k, of a member's batch."""
     leaves, counts = (res.flat_leaf, res.flat_counts) if flat else (res.y3, res.counts[2])
     ranked = np.sort(counts, axis=1)
     runner_up = ranked[:, -2] if ranked.shape[1] > 1 else 0

@@ -9,10 +9,10 @@ bank-wide retrieval restricted to the valid children, and the prediction
 records that the fallback fired.
 
 :func:`classify_batch` is the one entry point. It retrieves each query's
-neighbors once and tallies them once, over the nodes of all three levels
-(``Taxonomy.edges``); every vote, the flat leaf included, picks from that
-tally, so it always takes the taxonomy. :func:`predict_hierarchical` is its
-one-row form.
+neighbors once, and :func:`_walk` tallies them once, over the nodes of all
+three levels (``Taxonomy.edges``); every vote, the flat leaf included, picks
+from that tally, so it always takes the taxonomy. :func:`predict_hierarchical`
+is its one-row form.
 """
 from __future__ import annotations
 
@@ -84,27 +84,40 @@ def _nonzero(counts: np.ndarray) -> dict[int, int]:
 
 
 def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy) -> BatchPrediction:
-    """Classify the rows of ``Q`` (m x dim), retrieving each query's neighbors once.
-
-    The flat leaf vote and the coarse-to-fine walk of the module docstring
-    count the same k neighbors, in one tally over the nodes of all three
-    levels, so a flat caller still gets the walk's errors.
-    """
+    """Classify the rows of ``Q`` (m x dim): one :func:`search`, then :func:`_walk`."""
     if bank.taxonomy_digest != tax.digest:
         raise InferenceError("bank was built against a different taxonomy (digest mismatch)")
     Q = np.asarray(Q, dtype=np.float64)
     if Q.shape == (0,):
         Q = Q.reshape(0, bank.dim)
     indices, sims = search(bank, Q, k)
-    labels = bank.labels[indices]
     if (bank.label_max >= tax.sizes).any():
         raise InferenceError("bank label index out of range for the taxonomy")
 
+    def requery(sel, level, node):
+        rows = np.flatnonzero(tax.parents(level)[bank.labels[:, level - 1]] == node)
+        if rows.size == 0:
+            raise InferenceError(f"no bank entry under predicted level-{level - 1} "
+                                 f"node {tax.name_of(level - 1, node)!r}")
+        fb_indices, fb_sims = search(bank, Q[sel], k, rows)
+        return bank.labels[fb_indices, level - 1], fb_sims
+
+    return _walk(bank.labels[indices], sims, tax, requery)
+
+
+def _walk(labels: np.ndarray, sims: np.ndarray, tax: Taxonomy, requery) -> BatchPrediction:
+    """The flat leaf vote and the coarse-to-fine walk, over given neighbors.
+
+    ``labels`` (m, k, 3) and ``sims`` (m, k) are each query's neighbors. The
+    fallback reaches the bank only through ``requery(sel, level, node)``: the
+    level labels and similarities of the nearest entries under ``node`` for
+    the rows ``sel``.
+    """
     e = tax.edges.tolist()
     counts, simsum = _tally(labels, sims, tax.edges)
     flat = _pick(counts[:, e[2]:], simsum[:, e[2]:])[0], counts[:, e[2]:]
     ys, tallies = [_pick(counts[:, :e[1]], simsum[:, :e[1]])[0]], [counts[:, :e[1]]]
-    fallback = np.zeros((len(Q), 3), dtype=bool)
+    fallback = np.zeros((len(labels), 3), dtype=bool)
     for level in (2, 3):
         parent, block = tax.parents(level), np.s_[:, e[level - 1]:e[level]]
         # a neighbor votes here only for a child of the predicted parent
@@ -113,13 +126,8 @@ def classify_batch(bank: FeatureBank, Q, k: int, tax: Taxonomy) -> BatchPredicti
         if not top.all():  # some rows have no neighbor under their parent
             lost = np.flatnonzero(top == 0)
             for node in dict.fromkeys(ys[-1][lost].tolist()):  # re-query its children's entries
-                rows = np.flatnonzero(parent[bank.labels[:, level - 1]] == node)
-                if rows.size == 0:
-                    raise InferenceError(f"no bank entry under predicted level-{level - 1} "
-                                         f"node {tax.name_of(level - 1, node)!r}")
                 sel = lost[ys[-1][lost] == node]
-                fb_indices, fb_sims = search(bank, Q[sel], k, rows)
-                y[sel], c[sel] = _vote(bank.labels[fb_indices, level - 1], fb_sims, len(parent))
+                y[sel], c[sel] = _vote(*requery(sel, level, node), len(parent))
                 fallback[sel, level - 1] = True
         ys.append(y)
         tallies.append(c)
@@ -136,10 +144,3 @@ def predict_hierarchical(
         tuple(_nonzero(c[0]) for c in res.counts),
         tuple(res.fallback[0].tolist()),
     )
-
-
-def vote_margin(tally: dict[int, int], k: int) -> float:
-    """(top count - runner-up count) / k; runner-up is 0 for a unanimous tally."""
-    ranked = sorted(tally.values(), reverse=True)
-    runner_up = ranked[1] if len(ranked) > 1 else 0
-    return (ranked[0] - runner_up) / k

@@ -24,6 +24,7 @@ DEFAULT_TAU_TEACHER = 0.04
 DEFAULT_TAU_STUDENT = 0.1
 DEFAULT_MOMENTUM = 0.999
 _EVAL_FRACTION = 0.25  # share of each class that make_toy_dataset holds out for eval
+_FD_STEP = 1e-5  # central-difference step of finite_diff_grad and grad_check_report
 
 
 @dataclass
@@ -312,12 +313,13 @@ def train_toy(
     n_classes: int,
     seed: int,
     momentum: float = DEFAULT_MOMENTUM,
-    weights: ClassWeights | None = None,
 ) -> tuple[ToyModel, list[TraceRow]]:
     """Full-batch gradient descent with an EMA teacher update per step.
 
-    Returns the snapshot with the highest eval macro F1 (earliest epoch on
-    ties) and the per-epoch trace. Deterministic given the seed.
+    The supervised loss weighs classes by :func:`class_weights_from_counts`
+    of the training labels. Returns the snapshot with the highest eval macro
+    F1 (earliest epoch on ties) and the per-epoch trace. Deterministic given
+    the seed.
     """
     if not train:
         raise TrainingError("empty training set")
@@ -328,13 +330,11 @@ def train_toy(
     if not np.isfinite(lr):
         raise ValueError(f"lr must be finite, got {lr}")
 
-    if weights is None:
-        labels = [int(p.label) for p in train if p.label is not None]
-        if labels and cfg.lambda_sup > 0:
-            counts = np.bincount(labels, minlength=n_classes)
-            weights = class_weights_from_counts(counts)
-        else:
-            weights = ClassWeights(np.ones(n_classes))
+    labels = [int(p.label) for p in train if p.label is not None]
+    if labels and cfg.lambda_sup > 0:
+        weights = class_weights_from_counts(np.bincount(labels, minlength=n_classes))
+    else:
+        weights = ClassWeights(np.ones(n_classes))
 
     rng = np.random.default_rng(seed)
     d_in = train[0].x_student.shape[0]
@@ -361,7 +361,7 @@ def train_toy(
     return best_model, trace
 
 
-def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+def finite_diff_grad(f, x: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
     """Central-difference gradient of scalar ``f`` at ``x``, one coordinate at a time."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
@@ -406,7 +406,7 @@ def _random_case(rng: np.random.Generator):
     return model, ema, batch, cfg, weights
 
 
-def grad_check_report(seed: int = 0, trials: int = 50, h: float = 1e-5) -> dict[str, float]:
+def grad_check_report(seed: int = 0, trials: int = 50) -> dict[str, float]:
     """Worst relative gradient error per loss over random configurations.
 
     Each trial draws random heads, batch, temperatures, and weights, then
@@ -424,25 +424,25 @@ def grad_check_report(seed: int = 0, trials: int = 50, h: float = 1e-5) -> dict[
         _, g = dino_loss(model, ema, batch, cfg)
         num = finite_diff_grad(
             lambda p: dino_loss(with_params(p, model.clf), ema, batch, cfg)[0],
-            model.proj.copy(), h,
+            model.proj.copy(),
         )
         worst["dino"] = max(worst["dino"], relative_grad_error(g.proj, num))
 
         _, g = balanced_ce(model, batch, weights)
         num = finite_diff_grad(
             lambda c: balanced_ce(with_params(model.proj, c), batch, weights)[0],
-            model.clf.copy(), h,
+            model.clf.copy(),
         )
         worst["balanced_ce"] = max(worst["balanced_ce"], relative_grad_error(g.clf, num))
 
         _, g = total_loss(model, ema, batch, weights, cfg)
         num_p = finite_diff_grad(
             lambda p: total_loss(with_params(p, model.clf), ema, batch, weights, cfg)[0],
-            model.proj.copy(), h,
+            model.proj.copy(),
         )
         num_c = finite_diff_grad(
             lambda c: total_loss(with_params(model.proj, c), ema, batch, weights, cfg)[0],
-            model.clf.copy(), h,
+            model.clf.copy(),
         )
         err = max(relative_grad_error(g.proj, num_p), relative_grad_error(g.clf, num_c))
         worst["total"] = max(worst["total"], err)

@@ -1,6 +1,7 @@
 """Shared fixtures and small builders used across the test modules."""
 from __future__ import annotations
 
+import itertools
 import os
 import resource
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import hierknn
-from hierknn import FeatureBank, bank_build, default_taxonomy
+from hierknn import FeatureBank, bank_build, classify_batch, default_taxonomy, member_outputs
 
 # Directory holding the hierknn package this test process imported: src/
 # under PYTHONPATH=src, the checkout's src/ again under an editable install.
@@ -114,3 +115,34 @@ def crossed_label_bank(tax, rng, n_near: int = 6, dim: int = 6) -> FeatureBank:
     vectors = np.vstack([near, far]).astype(np.float32)
     ids = [f"n{i}" for i in range(n_near)] + [f"f{i}" for i in range(tax.leaf_count)]
     return FeatureBank(dim, ids, np.asarray(labels, dtype=np.uint16), vectors, tax.digest)
+
+
+def margins_by_hand(bank, queries, k, tax) -> dict[bool, list[float]]:
+    """Each member mode's margins, checked against (top count - runner-up
+    count) / k of the leaf tally it voted with: the flat tally, or the walk's
+    level-3 tally. Keyed by ``flat``."""
+    res = classify_batch(bank, queries, k, tax)
+    out = {}
+    for flat, counts in ((True, res.flat_counts), (False, res.counts[2])):
+        by_hand = []
+        for row in counts.tolist():
+            top, runner_up = sorted(row, reverse=True)[:2]
+            by_hand.append((top - runner_up) / k)
+        margins = member_outputs(bank, queries, k, tax, flat).margins.tolist()
+        assert margins == by_hand, (k, flat)
+        out[flat] = margins
+    return out
+
+
+def weak_orders(n: int) -> list[tuple[int, ...]]:
+    """Every weak order of n items, as each item's rank (0 is the largest)."""
+    return [r for r in itertools.product(range(n), repeat=n) if set(r) == set(range(max(r) + 1))]
+
+
+def all_cases(n_values: int, n: int, ladder) -> tuple[np.ndarray, np.ndarray]:
+    """Every assignment of n values in [0, n_values), times every weak order
+    of n values drawn from ``ladder`` (rank r takes ``ladder[r]``): (cases, n) each."""
+    values = np.array(list(itertools.product(range(n_values), repeat=n)), dtype=np.intp)
+    orders = np.asarray(ladder)[np.array(weak_orders(n))]
+    return (np.repeat(values, len(orders), axis=0).reshape(-1, n),
+            np.tile(orders, (len(values), 1)))

@@ -4,11 +4,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hierknn import FeatureBank, bank_save
+from hierknn import FeatureBank, bank_save, default_taxonomy
 from conftest import bank_from_arrays, run_cli as run, unit_rows
 
 SMALL_CONFIG = """
@@ -122,6 +123,32 @@ class TestClassifyAndEvaluate:
         assert len(report["classes"]) == 13
         cm_lines = (tmp_path / "cm.csv").read_text().splitlines()
         assert len(cm_lines) == 14 and cm_lines[0].startswith("true,")
+
+    def test_evaluate_keeps_no_vectors(self, tmp_path, monkeypatch, capsys):
+        """evaluate keeps only each record's id and leaf name: over a truth file
+        of 2,000 records with 256-float vectors, its traced peak stays below the
+        float64 size of those vectors."""
+        import hierknn.cli
+
+        rng = np.random.default_rng(9)
+        names = default_taxonomy().names(3)
+        with open(tmp_path / "t.jsonl", "w", encoding="utf-8") as truth, \
+                open(tmp_path / "p.jsonl", "w", encoding="utf-8") as preds:
+            for i in range(2000):
+                leaf = names[i % len(names)]
+                truth.write(json.dumps({"id": f"q{i}", "label": leaf,
+                                        "vector": rng.standard_normal(256).tolist()}) + "\n")
+                preds.write(json.dumps({"id": f"q{i}", "y3": leaf}) + "\n")
+        monkeypatch.chdir(tmp_path)
+        tracemalloc.start()
+        try:
+            code = hierknn.cli.main(["evaluate", "--preds", "p.jsonl", "--truth", "t.jsonl"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == "macro_f1: 1.0 over 2000 samples\n"
+        assert peak < 2000 * 256 * 8, peak
 
     def test_flat_flag_changes_only_method(self, tmp_path):
         make_synth(tmp_path)

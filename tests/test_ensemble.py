@@ -12,10 +12,17 @@ from hierknn import (
     load_taxonomy,
     member_outputs,
     predict_hierarchical,
-    vote_margin,
 )
-from hierknn.ensemble import MemberOutputs
-from conftest import bank_from_arrays, crossed_label_bank, unit_rows
+from hierknn.ensemble import TIE_POLICIES, MemberOutputs
+from conftest import (
+    all_cases,
+    angled_bank,
+    axis_query,
+    bank_from_arrays,
+    crossed_label_bank,
+    margins_by_hand,
+    unit_rows,
+)
 
 
 def random_outputs(rng, n_members: int, n_queries: int) -> list[MemberOutputs]:
@@ -140,6 +147,17 @@ class TestCombine:
             for j in range(min(n, 3)):
                 assert vote_one(leaves[:, j], margins[:, j], policy) == want[j]
 
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    @pytest.mark.parametrize("n_members", [1, 2, 3])
+    def test_every_small_member_vote(self, policy, n_members):
+        """Every leaf assignment of the members over 8 leaves, times every weak
+        order of their margins (dyadic, with 0, so sums are exact and tie)."""
+        leaves, margins = all_cases(8, n_members, (0.5, 0.25, 0.0))
+        members = [MemberOutputs(leaves[:, j], margins[:, j]) for j in range(n_members)]
+        want = [self.reference_vote(l, m, policy)
+                for l, m in zip(leaves.tolist(), margins.tolist())]
+        assert combine_members(members, policy) == want
+
     def test_unknown_policy_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="tie policy"):
@@ -248,15 +266,12 @@ class TestSharedInference:
             assert combine_members([member_outputs(bank, q[None], 1, tax, flat)]) == [ly]
 
     def test_margins_match_vote_margin(self, tax):
+        """Both member modes' margins are the vote margin, (top count -
+        runner-up count) / k of the leaf tally each mode voted with."""
         rng = np.random.default_rng(14)
         bank = bank_from_arrays(tax, unit_rows(rng, 70, 6), list(rng.integers(0, 13, 70)))
-        queries = [unit_rows(rng, 1, 6)[0] for _ in range(20)]
-        hier = member_outputs(bank, queries, 9, tax)
-        flat = member_outputs(bank, queries, 9, tax, flat=True)
-        for q, hm, fm in zip(queries, hier.margins, flat.margins):
-            assert hm == vote_margin(predict_hierarchical(bank, q, 9, tax).tallies[2], 9)
-            flat_counts = classify_batch(bank, [q], 9, tax).flat_counts[0]
-            assert fm == vote_margin({c: n for c, n in enumerate(flat_counts.tolist()) if n}, 9)
+        margins = margins_by_hand(bank, unit_rows(rng, 20, 6), 9, tax)
+        assert len(margins[True]) == len(margins[False]) == 20
 
     def test_ablation_retrieves_each_pair_once(self, tax, monkeypatch):
         """One kernel query row per (bank, query), plus one per fallback re-query."""

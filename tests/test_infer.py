@@ -1,6 +1,7 @@
 """Coarse-to-fine voting, its fallback path, and the flat baseline."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -13,15 +14,17 @@ from hierknn import (
     classify_batch,
     load_taxonomy,
     predict_hierarchical,
-    vote_margin,
 )
-from hierknn.infer import _vote
+from hierknn.infer import _vote, _walk
 from conftest import (
+    all_cases,
     angled_bank,
     axis_query,
     bank_from_arrays,
     crossed_label_bank,
+    margins_by_hand,
     unit_rows,
+    weak_orders,
 )
 
 
@@ -44,11 +47,15 @@ class TestVoteMode:
 
 
 class TestVoteMargin:
-    def test_unanimous_margin_is_one(self):
-        assert vote_margin({3: 5}, 5) == 1.0
+    """A member's margin, (top count - runner-up count) / k, in both modes."""
 
-    def test_split_margin(self):
-        assert vote_margin({3: 3, 9: 2}, 5) == pytest.approx(0.2)
+    def test_unanimous_margin_is_one(self, tax):
+        bank = angled_bank(tax, ["SNE"] * 5)
+        assert margins_by_hand(bank, [axis_query()], 5, tax) == {True: [1.0], False: [1.0]}
+
+    def test_split_margin(self, tax):
+        bank = angled_bank(tax, ["SNE", "BNE", "SNE", "BNE", "SNE"])
+        assert margins_by_hand(bank, [axis_query()], 5, tax) == {True: [0.2], False: [0.2]}
 
 
 class TestHierarchical:
@@ -188,12 +195,11 @@ class TestFlat:
 
 
 def reference_walk(bank, q, k, tax):
-    """Plain-Python coarse-to-fine walk, written from the documented rules.
+    """Plain-Python retrieval, then :func:`reference_vote_walk` over the neighbors.
 
     Similarities are exact fsum dot products; ranking is a full sort by
-    (-similarity, index); a vote is won by count, then summed similarity
-    (added in neighbor order), then the lower class index. A level whose
-    neighbors hold no child of the parent re-queries the children's entries.
+    (-similarity, index), for the query's neighbors and for a re-query
+    restricted to the entries under a node.
     """
     n = len(bank)
     labels = [tuple(int(x) for x in row) for row in bank.labels]
@@ -202,6 +208,25 @@ def reference_walk(bank, q, k, tax):
     def nearest(rows):
         return sorted(rows, key=lambda i: (-sims[i], i))[:k]
 
+    def requery(level, node):
+        kids = set(np.flatnonzero(tax.parents(level) == node).tolist())
+        rows = nearest(i for i in range(n) if labels[i][level - 1] in kids)
+        return [labels[i][level - 1] for i in rows], [sims[i] for i in rows]
+
+    neighbors = nearest(range(n))
+    return reference_vote_walk([labels[i] for i in neighbors], [sims[i] for i in neighbors],
+                               tax, requery)
+
+
+def reference_vote_walk(labels, sims, tax, requery):
+    """Plain-Python coarse-to-fine walk over one query's given neighbors.
+
+    Written from the documented rules: ``labels`` are the neighbors' label
+    triples and ``sims`` their similarities. A vote is won by count, then
+    summed similarity (added in neighbor order), then the lower class index.
+    A level whose neighbors hold no child of the parent votes instead over
+    the labels and similarities ``requery(level, parent)`` returns.
+    """
     def vote(pairs):
         count, total = {}, {}
         for label, sim in pairs:
@@ -209,17 +234,15 @@ def reference_walk(bank, q, k, tax):
             total[label] = total.get(label, 0.0) + sim
         return min(count, key=lambda c: (-count[c], -total[c], c)), count
 
-    neighbors = nearest(range(n))
-    flat = vote([(labels[i][2], sims[i]) for i in neighbors])
-    y1, tally1 = vote([(labels[i][0], sims[i]) for i in neighbors])
+    flat = vote([(triple[2], sim) for triple, sim in zip(labels, sims)])
+    y1, tally1 = vote([(triple[0], sim) for triple, sim in zip(labels, sims)])
     path, tallies, fallback = [y1], [tally1], [False, False, False]
     for level in (2, 3):
         kids = set(np.flatnonzero(tax.parents(level) == path[-1]).tolist())
-        pairs = [(labels[i][level - 1], sims[i]) for i in neighbors
-                 if labels[i][level - 1] in kids]
+        pairs = [(triple[level - 1], sim) for triple, sim in zip(labels, sims)
+                 if triple[level - 1] in kids]
         if not pairs:
-            rows = [i for i in range(n) if labels[i][level - 1] in kids]
-            pairs = [(labels[i][level - 1], sims[i]) for i in nearest(rows)]
+            pairs = list(zip(*requery(level, path[-1])))
             fallback[level - 1] = True
         winner, tally = vote(pairs)
         path.append(winner)
@@ -343,3 +366,90 @@ class TestClassifyBatch:
         bank = angled_bank(tax, ["SNE", "LY"])
         with pytest.raises(InferenceError, match="query 1"):
             classify_batch(bank, [axis_query(), bad], 2, tax)
+
+
+SMALL_TREE = """
+[level1]
+A
+B
+[level2]
+a0 -> A
+a1 -> A
+b0 -> B
+b1 -> B
+[level3]
+x0 -> a0
+x1 -> a0
+y0 -> a1
+y1 -> a1
+z0 -> b0
+z1 -> b0
+w0 -> b1
+w1 -> b1
+"""
+
+# dyadic, so every sum is exact; a negative one makes a masked-out sum of 0 win
+SMALL_SIMS = (0.5, 0.25, -0.25)
+
+
+class TestSmallScope:
+    """Every small case of the walk against :func:`reference_vote_walk`.
+
+    On a tree of 2 lineages x 2 groups x 2 leaves: every neighbor list of up
+    to 3 leaves times every weak order of their similarities, and every list
+    of up to 2 arbitrary label triples (so the fallback fires).
+    ``TestCombine.test_every_small_member_vote`` does the same for the
+    ensemble vote.
+    """
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return load_taxonomy(SMALL_TREE)
+
+    def check_walk(self, small, labels, sims, requery, ref_requery):
+        res = _walk(labels, sims, small, requery)
+        cols = [res.y1.tolist(), res.y2.tolist(), res.y3.tolist(), res.fallback.tolist(),
+                res.flat_leaf.tolist(), res.flat_counts, *res.counts]
+        for i, (triples, row_sims) in enumerate(zip(labels.tolist(), sims.tolist())):
+            path, tallies, fallback, (flat_leaf, flat_tally) = reference_vote_walk(
+                triples, row_sims, small, ref_requery)
+            y1, y2, y3, fb, leaf, flat_counts, *counts = (col[i] for col in cols)
+            assert [y1, y2, y3] == path, (triples, row_sims)
+            assert fb == fallback, (triples, row_sims)
+            assert [as_dict(c) for c in counts] == tallies, (triples, row_sims)
+            assert (leaf, as_dict(flat_counts)) == (flat_leaf, flat_tally), (triples, row_sims)
+        return res
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_walk_over_every_consistent_neighborhood(self, small, k):
+        leaves, sims = all_cases(small.leaf_count, k, SMALL_SIMS)
+        assert len(leaves) == small.leaf_count ** k * len(weak_orders(k))
+
+        def no_requery(*args):
+            raise AssertionError(f"fallback on parent-consistent labels: {args}")
+
+        res = self.check_walk(small, small.paths[leaves], sims, no_requery, no_requery)
+        assert not res.fallback.any()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_walk_over_every_label_triple(self, small, k):
+        triples = np.array(list(itertools.product(*(range(n) for n in small.sizes))))
+        picks, sims = all_cases(len(triples), k, SMALL_SIMS)
+        assert len(picks) == len(triples) ** k * len(weak_orders(k))
+
+        def fixed(level, node):
+            """A stand-in re-query: the node's children, last first; an odd node's
+            last child nearer, an even node's two children tied."""
+            kids = np.flatnonzero(small.parents(level) == node)[::-1].tolist()
+            return kids, [0.5, 0.25 if node % 2 else 0.5]
+
+        calls = []
+
+        def requery(sel, level, node):
+            calls.append((level, node))
+            kids, kid_sims = fixed(level, node)
+            return np.tile(kids, (len(sel), 1)), np.tile(kid_sims, (len(sel), 1))
+
+        res = self.check_walk(small, triples[picks], sims, requery, fixed)
+        assert len(calls) == len(set(calls))  # one re-query per (level, node)
+        assert res.fallback[:, 1].any() and res.fallback[:, 2].any()
