@@ -20,7 +20,7 @@ variable-size binary layout:
 and nothing after. A version-1 file, from a release before version 2, is
 rejected by name: rebuild it with ``bank build`` or ``synth``. A
 :class:`FeatureBank` holds its ids in the same column, offsets and blob, so
-a loaded bank's four columns are read-only views of the bytes read.
+a loaded bank's four columns are read-only views of the one buffer read.
 
 Manifest format: one JSON object per line with fields ``id`` (string),
 ``label`` (leaf name), ``vector`` (array of numbers).
@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import struct
 from collections import Counter
 from itertools import chain
@@ -52,6 +53,7 @@ _VERSION = 2
 _HEADER = struct.Struct("<4sIIQ32sQ")
 _ALIGN = 64  # file offset of the label and vector blocks
 _LABELS = struct.Struct("<HHH")
+_READ_START = 1 << 16  # first buffer size for a source whose size is unknown
 
 
 def block_rows(dim: int) -> int:
@@ -96,8 +98,11 @@ class FeatureBank:
     Storage is columnar and read-only: ids as one UTF-8 blob (``id_blob``, a
     uint8 array) cut by n + 1 u64 ``id_offsets``, as a bank file stores them;
     labels as an (n, 3) uint16 array and vectors as an (n, dim) float32
-    array. The bounds cached from them (``max_norm``, ``label_max``)
-    therefore cannot go stale. ``ids`` decodes the blob into a tuple of str
+    array. The bounds cached from them therefore cannot go stale:
+    ``label_max``, the largest index per level, and ``max_norm``, an upper
+    bound on every row's norm (see :func:`_norm_bound`; inf if a row's f32
+    sum of squares overflows, that is for norms from about 2^64, or is not
+    finite). ``ids`` decodes the blob into a tuple of str
     on first use and keeps it. Entry order is insertion order.
     The constructor encodes ``ids`` once and checks shapes and id uniqueness
     but deliberately not per-entry label-path consistency, so corrupted or
@@ -147,14 +152,16 @@ class FeatureBank:
             raise BankError(f"labels shape {self.labels.shape} != ({n}, 3)")
         if self.vectors.shape != (n, self.dim):
             raise BankError(f"vectors shape {self.vectors.shape} != ({n}, {self.dim})")
-        # largest row norm, summed in f64: bounds the rounding of f32 scores; from
-        # f32 rows it is finite exactly when every element is
-        sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64)
-        self.max_norm = float(np.sqrt(sq_norms.max(initial=0.0)))
+        # max_norm bounds the rounding of f32 scores (knn._slack). It is inf where
+        # a row's f32 sum of squares overflows or an entry is not finite
+        sq_max = np.einsum("ij,ij->i", self.vectors, self.vectors).max(initial=0.0)
+        self.max_norm = _norm_bound(float(sq_max), self.dim)
         if finite and not math.isfinite(self.max_norm):
-            i = int(np.argmin(np.isfinite(self.vectors).all(axis=1)))
-            raise BankError(f"entry {_id_at(self.id_blob, self.id_offsets, i)!r}: "
-                            "non-finite vector")
+            finite_rows = np.isfinite(self.vectors).all(axis=1)
+            if not finite_rows.all():
+                i = int(np.argmin(finite_rows))
+                raise BankError(f"entry {_id_at(self.id_blob, self.id_offsets, i)!r}: "
+                                "non-finite vector")
         dup = _duplicate_id(self.id_blob, self.id_offsets)
         if dup is not None:
             raise BankError(f"duplicate id {dup!r}")
@@ -191,6 +198,25 @@ class FeatureBank:
 
     def __repr__(self) -> str:
         return f"FeatureBank(dim={self.dim}, entries={len(self)})"
+
+
+def _norm_bound(sq_max: float, d: int) -> float:
+    """An upper bound on the norm of every row whose f32 sum of squares is at most ``sq_max``.
+
+    The ``d`` squares of a row and their sum are taken in f32, in any
+    order. Each square that underflows errs by at most 2^-149, and together
+    the rest by at most gamma_d S, with S the exact sum and gamma_d =
+    d u / (1 - d u), u = 2^-24 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1). So S <= (sq_max + d 2^-149) /
+    (1 - gamma_d), where 1 - gamma_d = (1 - 2 d u) / (1 - d u). Both factors
+    are exact in f64, and the few f64 roundings of the formula are covered
+    by rounding the result up by 2^-50 relative. inf if ``sq_max`` is not
+    finite or 1 - gamma_d is not positive.
+    """
+    u = 2.0 ** -24
+    if not (math.isfinite(sq_max) and d * u < 0.5):
+        return math.inf
+    return math.sqrt((sq_max + d * 2.0 ** -149) * (1 - d * u) / (1 - 2 * d * u)) * (1 + 2.0 ** -50)
 
 
 def _id_at(blob: np.ndarray, offsets: np.ndarray, i: int) -> str:
@@ -513,11 +539,12 @@ def bank_save(bank: FeatureBank, sink: BinaryIO) -> None:
 def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
     """Deserialize a v2 bank, checking magic, version, and taxonomy digest.
 
-    The stream is read once, to its end, and no size from the header is
-    trusted that the bytes read do not back: every section's size is
+    The source needs only ``readinto``: it is read once, to its end, into
+    one uint8 buffer (see :func:`_read_all`), and no size from the header
+    is trusted that the bytes read do not back: every section's size is
     checked against them before any array is made, for files and pipes
     alike. The bank's id offsets, id blob, labels and vectors are then
-    read-only views of the bytes read: no block is copied, and no id is
+    read-only views of that buffer: no block is copied, and no id is
     decoded until ``ids`` is first read. A version-1 stream is rejected by
     name, before any size check.
     Offsets, padding and UTF-8 cuts are checked, label indices are
@@ -525,8 +552,8 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
     unique, and errors come in that order; parent consistency of stored
     triples is not re-derived, matching what was written.
     """
-    data = source.read()
-    if data[:8] == _MAGIC + (1).to_bytes(4, "little"):  # an empty v1 bank is 52 bytes
+    data = _read_all(source)
+    if data[:8].tobytes() == _MAGIC + (1).to_bytes(4, "little"):  # an empty v1 bank is 52 bytes
         raise BankFormatError("version 1 bank is no longer read: "
                               "rebuild it with 'bank build' or 'synth'")
     if len(data) < _HEADER.size:
@@ -553,20 +580,55 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
         raise BankFormatError(str(exc)) from None
 
 
-def _columns(data: bytes, dim: int, count: int, blob_len: int):
+def _read_all(source: BinaryIO) -> np.ndarray:
+    """The source's bytes to its end, as a read-only view of one uint8 buffer.
+
+    Where the source has a descriptor, the first buffer is one byte over the
+    file's size, so the read that finds the end needs no more room and the
+    bytes stay where they were read. Else (a pipe, whose size reads 0, or an
+    in-memory stream) buffers of ``_READ_START`` bytes, then each twice the
+    last, are filled in turn. Whenever more than one buffer was read, or more
+    than that one byte is left over, the bytes are joined once into a buffer
+    of exactly their size, so the bank holds no spare room. Every buffer is
+    numpy's own allocation, which numpy advises the kernel to back with huge
+    pages.
+    """
+    try:
+        size = os.fstat(source.fileno()).st_size + 1
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        size = 0
+    room = max(size, _READ_START)
+    chunks = []
+    while True:
+        buf = np.empty(room, np.uint8)
+        filled = 0
+        while filled < room and (n := source.readinto(memoryview(buf)[filled:])):
+            filled += n
+        chunks.append(buf[:filled])
+        if filled < room:
+            break
+        room *= 2
+    if len(chunks) > 1 or room - filled > 1:
+        buf = np.concatenate(chunks)
+        filled = len(buf)
+    buf.flags.writeable = False
+    return buf[:filled]
+
+
+def _columns(stream: np.ndarray, dim: int, count: int, blob_len: int):
     """Views of a bank's id blob, count + 1 id offsets, labels and vectors in the bytes read."""
     blob_at = _HEADER.size + 8 * (count + 1)
     labels_at = blob_at + blob_len + _padding(blob_at + blob_len)
     vectors_at = labels_at + _LABELS.size * count + _padding(labels_at + _LABELS.size * count)
     need = vectors_at + 4 * dim * count
-    if need > len(data):
+    if need > len(stream):
         raise BankFormatError(
             f"truncated stream: header claims {count} entries of dim {dim} and {blob_len} "
-            f"id bytes, {need} bytes in all, but {len(data)} were read"
+            f"id bytes, {need} bytes in all, but {len(stream)} were read"
         )
-    if need < len(data):
+    if need < len(stream):
         raise BankFormatError(f"trailing bytes after final entry (byte {need})")
-    offsets = np.frombuffer(data, "<u8", count + 1, _HEADER.size)
+    offsets = stream[_HEADER.size:blob_at].view("<u8")
     if offsets[0] != 0 or offsets[-1] != blob_len:
         raise BankFormatError(
             f"id offsets run from {offsets[0]} to {offsets[-1]}, not from 0 to {blob_len}"
@@ -578,7 +640,6 @@ def _columns(data: bytes, dim: int, count: int, blob_len: int):
             f"entry {i}: id offset {offsets[i + 1]} at byte {_HEADER.size + 8 * (i + 1)} "
             f"is below the one before it, {offsets[i]}"
         )
-    stream = np.frombuffer(data, np.uint8)
     for start, stop in ((blob_at + blob_len, labels_at),
                         (labels_at + _LABELS.size * count, vectors_at)):
         if stream[start:stop].any():
@@ -586,8 +647,8 @@ def _columns(data: bytes, dim: int, count: int, blob_len: int):
             raise BankFormatError(f"nonzero padding at byte {at}")
     blob = stream[blob_at:blob_at + blob_len]
     _check_utf8(blob, offsets, blob_at)
-    labels = np.frombuffer(data, "<u2", 3 * count, labels_at).reshape(count, 3)
-    vectors = np.frombuffer(data, "<f4", dim * count, vectors_at).reshape(count, dim)
+    labels = stream[labels_at:labels_at + _LABELS.size * count].view("<u2").reshape(count, 3)
+    vectors = stream[vectors_at:need].view("<f4").reshape(count, dim)
     return blob, offsets, labels, vectors
 
 

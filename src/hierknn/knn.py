@@ -35,10 +35,14 @@ def _slack(bank: FeatureBank) -> float:
     and Stability of Numerical Algorithms, 2nd ed., section 3.1). Together
     that is below (d + 1) 2^-24 / (1 - d 2^-24) |b|. The extra 2^-24 |b|
     covers the f64 normalization and rescore, and the absolute term the f32
-    products that underflow. A bank whose rows could overflow f32 gets no
-    finite bound: every row is then rescored.
+    products that underflow. |b| is bounded by ``bank.max_norm``, an upper
+    bound on every row's norm by the same analysis of the bank's f32 sums
+    of squares (``bank._norm_bound``), so the rows' exact norms are never
+    needed. That bound is inf where a row's f32 sum of squares overflows
+    (norms from about 2^64), and such a bank gets no finite bound: every
+    row is then rescored, in f64.
     """
-    if not bank.max_norm < 2.0 ** 127:
+    if bank.max_norm == np.inf:
         return np.inf
     d = bank.dim
     return (d + 2) * _EPS32 / (1 - d * _EPS32) * bank.max_norm + d * 2.0 ** -148

@@ -25,7 +25,7 @@ and an identical digest.
 from __future__ import annotations
 
 import hashlib
-from importlib import resources
+import os
 
 import numpy as np
 
@@ -209,6 +209,7 @@ def load_taxonomy(text: str) -> Taxonomy:
 
 
 def default_taxonomy() -> Taxonomy:
-    """The packaged 3-lineage / 13-leaf default tree."""
-    text = resources.files("hierknn.data").joinpath("default_taxonomy.txt").read_text("utf-8")
-    return load_taxonomy(text)
+    """The packaged 3-lineage / 13-leaf default tree, read from ``data/`` beside this module."""
+    path = os.path.join(os.path.dirname(__file__), "data", "default_taxonomy.txt")
+    with open(path, encoding="utf-8") as fh:
+        return load_taxonomy(fh.read())

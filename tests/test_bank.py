@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +272,71 @@ class TestColumns:
                 column[0, 0] = 1
         assert np.shares_memory(bank.labels, labels) and np.shares_memory(bank.vectors, vectors)
         labels[0, 0] = vectors[0, 0] = 1  # the caller's arrays stay writable
+
+
+def ceil_norm(row) -> float:
+    """The exact norm of a row, rounded up to a float: the sum of its f64 squares
+    (each exact for an f32 entry) is rounded once by ``math.fsum``, then settled
+    against the exact rational sum."""
+    exact = sum(Fraction(x) ** 2 for x in row.tolist())
+    r = math.sqrt(math.fsum(x * x for x in row.tolist()))
+    while Fraction(r) ** 2 < exact:
+        r = math.nextafter(r, math.inf)
+    while r > 0 and Fraction(math.nextafter(r, 0.0)) ** 2 >= exact:
+        r = math.nextafter(r, 0.0)
+    return r
+
+
+class TestNormBound:
+    """``max_norm`` bounds every row's exact norm from above, tightly where no
+    f32 square overflows, and is inf where one does."""
+
+    MAGNITUDES = (1e-45, 1e-40, 1e-20, 1.0, 1e18, 1e19)  # subnormal f32 included
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 64, 513, 4096])
+    def test_bound_on_mixed_magnitudes(self, tax, dim):
+        """Rows mix subnormal, 1e-20, unit, 1e18 and 1e19 entries: f32 squares
+        underflow, and at 1e19 (and enough 1e18) overflow. Where no sum of
+        squares overflows, the bound is at least the exact norm and at most
+        it times 1 + 2^-16 + gamma_d, plus 2^-70 sqrt(d) for squares that
+        underflow; where one does, it is inf."""
+        rng = np.random.default_rng(dim)
+        gamma = dim * 2.0 ** -24 / (1 - dim * 2.0 ** -24)
+        overflows = set()
+        for trial in range(12):
+            kinds = rng.choice(len(self.MAGNITUDES), int(rng.integers(1, 4)), replace=False)
+            n = int(rng.integers(1, 6))
+            scale = np.array(self.MAGNITUDES)[rng.choice(kinds, (n, dim))]
+            vectors = (scale * rng.uniform(0.5, 2.0, (n, dim))
+                       * rng.choice([-1.0, 1.0], (n, dim))).astype(np.float32)
+            if trial == 0:
+                vectors[0] = 2e19  # its f32 square overflows at any dim
+            bank = bank_from_arrays(tax, vectors, [0] * n)
+            with np.errstate(over="ignore"):
+                overflow = not np.isfinite(np.einsum("ij,ij->i", vectors, vectors)).all()
+            overflows.add(overflow)
+            if overflow:
+                assert bank.max_norm == math.inf, trial
+                continue
+            exact = max(ceil_norm(row) for row in vectors)
+            slack = exact * (2.0 ** -16 + gamma) + 2.0 ** -70 * math.sqrt(dim)
+            assert exact <= bank.max_norm <= exact + slack, trial
+        assert overflows == {True, False}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e19])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, tax, bad, scale):
+        """A NaN or inf entry still fails the load, naming its entry, beside
+        unit rows and beside rows whose f32 squares overflow."""
+        rng = np.random.default_rng(9)
+        vectors = (rng.uniform(0.5, 2.0, (4, 16)) * scale).astype(np.float32)
+        vectors[2, 5] = bad
+        bank = bank_from_arrays(tax, vectors, [0, 1, 2, 3], ids=["a", "b", "c", "d"])
+        assert math.isinf(bank.max_norm)
+        buf = io.BytesIO()
+        bank_save(bank, buf)
+        with pytest.raises(BankFormatError, match="^entry 'c': non-finite vector$"):
+            bank_load(io.BytesIO(buf.getvalue()), tax)
 
 
 class TestQuerySet:
@@ -736,22 +803,36 @@ class TestLoadRejectsBadInputV2:
                 assert "truncated" not in str(err.value)
 
     def test_source_needs_only_read(self, tax):
-        """The loader reads the source once and never seeks or tells."""
-        bank, data = self.saved(tax)
+        """The loader needs only ``readinto``: a source that gives at most
+        4,096 bytes a call and has no seek, tell or fileno loads byte for byte
+        and is left at its end. The bank is over 64 KiB, the first buffer
+        for a source of unknown size, so more buffers are read and then
+        joined into one of exactly the bytes read."""
+        bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(6), 300, 64),
+                                [i % 13 for i in range(300)])
+        buf = io.BytesIO()
+        bank_save(bank, buf)
+        data = buf.getvalue()
+        assert len(data) > 1 << 16
 
-        class ReadOnly:
+        class ReadintoOnly:
             def __init__(self):
-                self.calls = 0
+                self.at = 0
 
-            def read(self, *args):
-                self.calls += 1
-                return data
+            def readinto(self, b):
+                chunk = data[self.at:self.at + min(len(b), 4096)]
+                b[:len(chunk)] = chunk
+                self.at += len(chunk)
+                return len(chunk)
 
-        source = ReadOnly()
+        source = ReadintoOnly()
         loaded = bank_load(source, tax)
-        assert source.calls == 1
+        assert source.at == len(data)
+        assert loaded.vectors.base.nbytes == len(data)  # no spare room is kept
         assert loaded.ids == bank.ids
-        assert loaded.vectors.tobytes() == bank.vectors.tobytes()
+        again = io.BytesIO()
+        bank_save(loaded, again)
+        assert again.getvalue() == data
 
     def test_oversized_count_named_before_allocation(self, tax):
         _, data = self.saved(tax)
@@ -864,6 +945,24 @@ class TestIdColumn:
         with pytest.raises(BankFormatError, match=f"^duplicate id '{a}'$"):
             bank_load(io.BytesIO(dup), tax)
 
+    def test_ids_tied_on_the_key_match_set(self):
+        """Ids built to tie on the key (one byte length over 16, shared first
+        and last 8 bytes, the middle varying) are compared as bytes, and get
+        the set's verdict."""
+        rng = np.random.default_rng(2023)
+        for trial in range(60):
+            head, tail = random_id(rng, 8), random_id(rng, 8)
+            middle = int(rng.integers(1, 40))
+            pool = [head + random_id(rng, middle) + tail for _ in range(int(rng.integers(2, 30)))]
+            ids = [pool[i] for i in rng.integers(0, len(pool), int(rng.integers(2, 80)))]
+            if trial % 2:
+                ids = list(dict.fromkeys(ids))
+            blob, offsets = _encode_ids(tuple(ids))
+            assert len(set(_id_keys(blob, offsets).tolist())) == 1
+            dup = _duplicate_id(blob, offsets)
+            assert dup == next((rid for rid, c in Counter(ids).items() if c > 1), None)
+            assert (dup is None) == (len(set(ids)) == len(ids))
+
     def test_non_finite_vector_named_before_duplicate_id(self, tax):
         bank, data = TestLoadRejectsBadInputV2.saved(tax, ids=("ab", "cd", "ef"))
         vectors = bank.vectors.copy()
@@ -878,24 +977,26 @@ class TestIdColumn:
 
     @pytest.mark.parametrize("config", [None, SMALL_SYNTH])
     def test_load_keeps_views_of_one_read(self, tax, config):
-        """A loaded bank's labels and vectors are read-only views of the one
-        buffer read; classify and save decode no id, and the save gives back
-        the file byte for byte (the stock and the determinism-fixture banks)."""
+        """A loaded bank's four columns are read-only views of one ndarray,
+        the buffer read, which holds exactly the file's bytes, and cannot be
+        made writable; classify and save decode no id, and the save gives
+        back the file byte for byte (the stock and the determinism-fixture
+        banks)."""
         cfg = SynthConfig() if config is None else parse_synth_config(config)
         bank, queries = generate(cfg, tax)
         buf = io.BytesIO()
         bank_save(bank, buf)
         data = buf.getvalue()
-
-        class OneRead:
-            def read(self):
-                return data
-
-        loaded = bank_load(OneRead(), tax)
-        read = np.frombuffer(data, np.uint8)
-        for column in (loaded.labels, loaded.vectors):
-            assert np.shares_memory(column, read)
+        loaded = bank_load(io.BytesIO(data), tax)
+        columns = (loaded.id_offsets, loaded.id_blob, loaded.labels, loaded.vectors)
+        base = loaded.vectors.base
+        assert isinstance(base, np.ndarray) and base.base is None
+        assert base.tobytes() == data  # exactly the bytes read, no spare room
+        for column in columns:
+            assert column.base is base
             assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
         classify_batch(loaded, queries.vectors[:50], 5, tax)
         again = io.BytesIO()
         bank_save(loaded, again)

@@ -4,12 +4,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hierknn import FeatureBank, bank_save, default_taxonomy
+from hierknn import FeatureBank, bank_load, bank_save, default_taxonomy
 from conftest import bank_from_arrays, run_cli as run, unit_rows
 
 SMALL_CONFIG = """
@@ -318,6 +319,47 @@ class TestRunManifests:
         assert doc["inputs"]["/dev/stdin"] == hashlib.sha256(data).hexdigest()
         queries = (tmp_path / "q.jsonl").read_bytes()
         assert doc["inputs"]["q.jsonl"] == hashlib.sha256(queries).hexdigest()
+
+    def test_bank_over_64_kib_through_a_pipe(self, tmp_path):
+        """The stock synth bank, over the 64 KiB a pipe's first read buffer
+        holds, is fed to an OS pipe by a writer thread: ``bank_load`` gives
+        the file-mode bank, and ``classify --bank /dev/stdin`` the file-mode
+        predictions and the digest of every byte."""
+        synth = run(["synth", "--out", "bank.hbnk", "--queries", "q.jsonl"], tmp_path)
+        assert synth.returncode == 0, synth.stderr
+        data = (tmp_path / "bank.hbnk").read_bytes()
+        assert len(data) > 1 << 16
+
+        def through_a_pipe(consume):
+            read_end, write_end = os.pipe()
+
+            def write():
+                with open(write_end, "wb") as sink:
+                    sink.write(data)
+
+            writer = threading.Thread(target=write)
+            writer.start()
+            try:
+                with open(read_end, "rb") as source:
+                    return consume(source)
+            finally:
+                writer.join(timeout=60)
+                assert not writer.is_alive()
+
+        tax = default_taxonomy()
+        with open(tmp_path / "bank.hbnk", "rb") as fh:
+            from_file = bank_load(fh, tax)
+        from_pipe = through_a_pipe(lambda source: bank_load(source, tax))
+        for column in ("id_offsets", "id_blob", "labels", "vectors"):
+            assert getattr(from_pipe, column).tobytes() == getattr(from_file, column).tobytes()
+        classify = ["classify", "--queries", "q.jsonl", "--bank"]
+        assert run([*classify, "bank.hbnk", "--out", "f.jsonl"], tmp_path).returncode == 0
+        proc = through_a_pipe(
+            lambda source: run([*classify, "/dev/stdin", "--out", "p.jsonl"], tmp_path, stdin=source))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "f.jsonl").read_bytes()
+        doc = json.loads((tmp_path / "p.jsonl.manifest.json").read_text())
+        assert doc["inputs"]["/dev/stdin"] == hashlib.sha256(data).hexdigest()
 
     def test_input_digest_covers_unread_bytes(self, tmp_path):
         """An input the command stops reading early is still hashed whole."""

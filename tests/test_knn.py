@@ -293,6 +293,23 @@ class TestSearch:
             for k in (1, 2, 6):
                 self.check(bank, Q, k)
 
+    def test_rows_straddling_2_127(self, tax):
+        """Rows on both sides of 2^127, whose f32 sums of squares overflow so
+        that every row is rescored, rank as the fsum oracle of criterion 1
+        ranks them."""
+        rng = np.random.default_rng(27)
+        n, dim = 60, 12
+        vectors = unit_rows(rng, n, dim) * 2.0 ** rng.uniform(126.9, 127.1, (n, 1))
+        vectors = vectors.astype(np.float32)
+        vectors[9] = vectors[4]
+        bank = bank_from_arrays(tax, vectors, list(rng.integers(0, 13, n)))
+        assert hierknn.knn._slack(bank) == np.inf
+        Q = np.vstack([vectors[4], unit_rows(rng, 5, dim)]).astype(np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no f32 score overflows
+            for k in (1, 2, 7):
+                self.check(bank, Q, k)
+
     def test_unusable_query_named(self, tax):
         bank = bank_from_arrays(tax, unit_rows(np.random.default_rng(24), 5, 3), [0] * 5)
         for bad in (0.0, np.nan, np.inf):
