@@ -54,10 +54,10 @@ def show_ema(seed: int) -> None:
 
 def show_training(seed: int, epochs: int) -> None:
     print("\n=== toy training run ===")
-    train, eval_pairs = make_toy_dataset(3, 8, 40, 4.0, 0.5, seed=seed)
-    print(f"train {len(train)} pairs, eval {len(eval_pairs)} pairs, 3 classes")
+    train, eval_views = make_toy_dataset(3, 8, 40, 4.0, 0.5, seed=seed)
+    print(f"train {len(train)} pairs, eval {len(eval_views)} pairs, 3 classes")
     model, trace = train_toy(
-        train, eval_pairs, epochs=epochs, lr=0.1, cfg=LossConfig(),
+        train, eval_views, epochs=epochs, lr=0.1, cfg=LossConfig(),
         proj_dim=6, n_classes=3, seed=seed,
     )
     print("epoch  distill     ce        total     eval MF1")

@@ -66,13 +66,12 @@ from .taxonomy import Taxonomy, default_taxonomy, load_taxonomy
 # do not train never import it. The other modules stay eager: the benchmark's
 # tracer wraps only the modules that are loaded when it installs.
 _TOYTRAIN = frozenset((
-    "ClassWeights",
     "EmaState",
     "Gradients",
     "LossConfig",
     "ToyModel",
     "TraceRow",
-    "ViewPair",
+    "Views",
     "balanced_ce",
     "class_weights_from_counts",
     "dino_loss",

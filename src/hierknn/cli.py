@@ -103,11 +103,17 @@ class _Files:
 
     @contextlib.contextmanager
     def open(self, path, mode="r"):
-        """``open(path, mode)``, UTF-8 in text mode; text that does not decode names the file."""
+        """``open(path, mode)``, UTF-8 in text mode; text that does not decode names the file,
+        and so does an ``OSError`` while writing."""
         if "w" in mode:
             self.outputs.append(path)
-            with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
-                yield fh
+            try:
+                with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+                    yield fh
+            except OSError as exc:
+                if exc.filename is not None:  # open's own error names the file already
+                    raise
+                raise OSError(exc.errno, exc.strerror, path) from None
             return
         raw = _HashedFile(path)
         fh = io.BufferedReader(raw)
@@ -389,12 +395,12 @@ def cmd_traintoy(args, files: _Files) -> None:
         tau_teacher=args.tau_t,
         tau_student=args.tau_s,
     )
-    train, eval_pairs = make_toy_dataset(
+    train, eval_views = make_toy_dataset(
         args.classes, args.dim, args.per_class, args.separation, args.view_sigma, args.seed
     )
     _best, trace = train_toy(
         train,
-        eval_pairs,
+        eval_views,
         epochs=args.epochs,
         lr=args.lr,
         cfg=cfg,

@@ -47,14 +47,6 @@ class ToyModel:
             raise ValueError("non-finite parameters")
 
     @property
-    def d_in(self) -> int:
-        return self.proj.shape[0]
-
-    @property
-    def proj_dim(self) -> int:
-        return self.proj.shape[1]
-
-    @property
     def n_classes(self) -> int:
         return self.clf.shape[1]
 
@@ -62,13 +54,10 @@ class ToyModel:
         return ToyModel(self.proj.copy(), self.clf.copy())
 
     @classmethod
-    def init_random(
-        cls, d_in: int, proj_dim: int, n_classes: int, rng: np.random.Generator, scale: float = 0.1
-    ) -> "ToyModel":
-        return cls(
-            scale * rng.standard_normal((d_in, proj_dim)),
-            scale * rng.standard_normal((d_in, n_classes)),
-        )
+    def init_random(cls, d_in: int, proj_dim: int, n_classes: int, rng: np.random.Generator,
+                    scale: float = 0.1) -> "ToyModel":
+        return cls(scale * rng.standard_normal((d_in, proj_dim)),
+                   scale * rng.standard_normal((d_in, n_classes)))
 
 
 @dataclass
@@ -82,10 +71,6 @@ class EmaState:
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError(f"momentum must be in [0, 1], got {self.momentum}")
 
-    @classmethod
-    def from_student(cls, student: ToyModel, momentum: float = DEFAULT_MOMENTUM) -> "EmaState":
-        return cls(student.copy(), momentum)
-
 
 def ema_update(ema: EmaState, student: ToyModel) -> EmaState:
     """teacher <- m * teacher + (1 - m) * student, element-wise."""
@@ -93,10 +78,8 @@ def ema_update(ema: EmaState, student: ToyModel) -> EmaState:
     if t.proj.shape != student.proj.shape or t.clf.shape != student.clf.shape:
         raise ValueError("teacher and student shapes differ")
     m = ema.momentum
-    return EmaState(
-        ToyModel(m * t.proj + (1.0 - m) * student.proj, m * t.clf + (1.0 - m) * student.clf),
-        m,
-    )
+    return EmaState(ToyModel(m * t.proj + (1.0 - m) * student.proj,
+                             m * t.clf + (1.0 - m) * student.clf), m)
 
 
 @dataclass(frozen=True)
@@ -119,22 +102,7 @@ class LossConfig:
             raise ValueError("temperatures must be positive")
 
 
-class ClassWeights:
-    """Per-class loss weights, rescaled so their mean is exactly 1."""
-
-    def __init__(self, w):
-        arr = np.asarray(w, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("weights must be a nonempty 1-D array")
-        if np.any(arr <= 0):
-            raise ValueError("weights must be positive")
-        self.w = arr / arr.mean()
-
-    def __len__(self) -> int:
-        return self.w.size
-
-
-def class_weights_from_counts(counts) -> ClassWeights:
+def class_weights_from_counts(counts) -> np.ndarray:
     """Inverse-frequency weights, mean-normalized; zero counts are an error."""
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size == 0:
@@ -142,22 +110,35 @@ def class_weights_from_counts(counts) -> ClassWeights:
     if np.any(arr < 1):
         bad = int(np.argmin(arr))
         raise TrainingError(f"class {bad} has zero training samples")
-    return ClassWeights(1.0 / arr.astype(np.float64))
+    w = 1.0 / arr.astype(np.float64)
+    return w / w.mean()
 
 
-@dataclass
-class ViewPair:
-    """Two views of one underlying sample; label is None for unlabeled data."""
+@dataclass(frozen=True)
+class Views:
+    """n samples, each seen twice, as columns: (n, d) float64 teacher and student
+    views, and (n,) int64 labels, -1 marking an unlabeled sample."""
 
     x_teacher: np.ndarray
     x_student: np.ndarray
-    label: int | None = None
+    labels: np.ndarray
 
     def __post_init__(self):
-        self.x_teacher = np.asarray(self.x_teacher, dtype=np.float64)
-        self.x_student = np.asarray(self.x_student, dtype=np.float64)
-        if self.x_teacher.shape != self.x_student.shape:
+        xt = np.ascontiguousarray(self.x_teacher, dtype=np.float64)
+        xs = np.ascontiguousarray(self.x_student, dtype=np.float64)
+        if xt.shape != xs.shape:
             raise ValueError("views must share dims")
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if xt.ndim != 2 or labels.shape != xt.shape[:1]:
+            raise ValueError("views must be (n, d) arrays with one label per row")
+        for name, value in (("x_teacher", xt), ("x_student", xs), ("labels", labels)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows) -> "Views":
+        return Views(self.x_teacher[rows], self.x_student[rows], self.labels[rows])
 
 
 @dataclass
@@ -166,10 +147,6 @@ class Gradients:
 
     proj: np.ndarray
     clf: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, model: ToyModel) -> "Gradients":
-        return cls(np.zeros_like(model.proj), np.zeros_like(model.clf))
 
 
 def softmax_temp(logits, tau: float) -> np.ndarray:
@@ -180,8 +157,7 @@ def softmax_temp(logits, tau: float) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite logits")
     z = z / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -190,17 +166,8 @@ def _log_softmax(scaled: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _stack_views(batch: list[ViewPair]) -> tuple[np.ndarray, np.ndarray]:
-    if not batch:
-        raise ValueError("empty batch")
-    xt = np.vstack([p.x_teacher for p in batch])
-    xs = np.vstack([p.x_student for p in batch])
-    return xt, xs
-
-
-def dino_loss(
-    model: ToyModel, ema: EmaState, batch: list[ViewPair], cfg: LossConfig
-) -> tuple[float, Gradients]:
+def dino_loss(model: ToyModel, ema: EmaState, batch: Views,
+              cfg: LossConfig) -> tuple[float, Gradients]:
     """Teacher-student distillation term with its analytic student gradient.
 
     Teacher probabilities come from the EMA teacher's projection head on the
@@ -208,58 +175,44 @@ def dino_loss(
     student head on the student views. The loss is the batch-mean
     cross-entropy between the two distributions.
     """
-    xt, xs = _stack_views(batch)
-    if xt.shape[1] != model.d_in:
-        raise ValueError(f"batch dim {xt.shape[1]} != model dim {model.d_in}")
-    b = len(batch)
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    xt, xs, b = batch.x_teacher, batch.x_student, len(batch)
+    if xt.shape[1] != model.proj.shape[0]:
+        raise ValueError(f"batch dim {xt.shape[1]} != model dim {model.proj.shape[0]}")
     p_teacher = softmax_temp(xt @ ema.teacher.proj, cfg.tau_teacher)
-    student_scaled = (xs @ model.proj) / cfg.tau_student
-    log_p_student = _log_softmax(student_scaled)
+    log_p_student = _log_softmax((xs @ model.proj) / cfg.tau_student)
     loss = float(-(p_teacher * log_p_student).sum() / b)
 
-    p_student = np.exp(log_p_student)
-    d_logits = (p_student - p_teacher) / (b * cfg.tau_student)
-    grads = Gradients(xs.T @ d_logits, np.zeros_like(model.clf))
-    return loss, grads
+    d_logits = (np.exp(log_p_student) - p_teacher) / (b * cfg.tau_student)
+    return loss, Gradients(xs.T @ d_logits, np.zeros_like(model.clf))
 
 
-def balanced_ce(
-    model: ToyModel, batch: list[ViewPair], weights: ClassWeights
-) -> tuple[float, Gradients]:
+def balanced_ce(model: ToyModel, batch: Views, weights: np.ndarray) -> tuple[float, Gradients]:
     """Class-weighted cross-entropy of the classifier head on student views."""
-    if not batch:
+    if len(batch) == 0:
         raise ValueError("empty batch")
-    labels = []
-    for p in batch:
-        if p.label is None:
-            raise ValueError("unlabeled sample in a supervised batch")
-        labels.append(int(p.label))
-    if max(labels) >= model.n_classes or min(labels) < 0:
+    labels = batch.labels
+    if np.any(labels == -1):
+        raise ValueError("unlabeled sample in a supervised batch")
+    if labels.max() >= model.n_classes or labels.min() < 0:
         raise ValueError("label out of range for the classifier head")
-    if len(weights) != model.n_classes:
+    if np.shape(weights) != (model.n_classes,):
         raise ValueError("weight vector length != class count")
 
-    xs = np.vstack([p.x_student for p in batch])
-    b = len(batch)
-    w = weights.w[labels]  # (b,)
-    logits = xs @ model.clf
-    log_p = _log_softmax(logits)
+    xs, b = batch.x_student, len(batch)
+    w = np.asarray(weights, dtype=np.float64)[labels]  # (b,)
+    log_p = _log_softmax(xs @ model.clf)
     loss = float(-(w * log_p[np.arange(b), labels]).sum() / b)
 
-    p = np.exp(log_p)
-    d_logits = p * w[:, None]
+    d_logits = np.exp(log_p) * w[:, None]
     d_logits[np.arange(b), labels] -= w
     d_logits /= b
     return loss, Gradients(np.zeros_like(model.proj), xs.T @ d_logits)
 
 
-def total_loss(
-    model: ToyModel,
-    ema: EmaState,
-    batch: list[ViewPair],
-    weights: ClassWeights,
-    cfg: LossConfig,
-) -> tuple[float, Gradients]:
+def total_loss(model: ToyModel, ema: EmaState, batch: Views, weights: np.ndarray,
+               cfg: LossConfig) -> tuple[float, Gradients]:
     """Weighted sum of the distillation and supervised terms.
 
     The distillation term sees the whole batch; the supervised term sees
@@ -271,16 +224,16 @@ def total_loss(
 def _loss_terms(model, ema, batch, weights, cfg) -> tuple[float, float, float, Gradients]:
     """Distillation and supervised losses (0.0 if unweighted), then what total_loss returns."""
     l_dino = l_sup = loss = 0.0
-    grads = Gradients.zeros_like(model)
+    grads = Gradients(np.zeros_like(model.proj), np.zeros_like(model.clf))
     if cfg.lambda_dino > 0:
         l_dino, g_dino = dino_loss(model, ema, batch, cfg)
         loss += cfg.lambda_dino * l_dino
         grads.proj += cfg.lambda_dino * g_dino.proj
     if cfg.lambda_sup > 0:
-        labeled = [p for p in batch if p.label is not None]
-        if not labeled:
+        labeled = batch.labels != -1
+        if not labeled.any():
             raise ValueError("supervised weight is positive but the batch has no labels")
-        l_sup, g_sup = balanced_ce(model, labeled, weights)
+        l_sup, g_sup = balanced_ce(model, batch if labeled.all() else batch[labeled], weights)
         loss += cfg.lambda_sup * l_sup
         grads.clf += cfg.lambda_sup * g_sup.clf
     return l_dino, l_sup, loss, grads
@@ -295,78 +248,60 @@ class TraceRow:
     eval_mf1: float
 
 
-def _eval_mf1(model: ToyModel, pairs: list[ViewPair]) -> float:
-    xs = np.vstack([p.x_student for p in pairs])
-    labels = [int(p.label) for p in pairs]
-    preds = np.argmax(xs @ model.clf, axis=1)
-    return macro_f1(ConfusionMatrix.from_pairs(labels, preds, model.n_classes))
-
-
-def train_toy(
-    train: list[ViewPair],
-    eval_pairs: list[ViewPair],
-    *,
-    epochs: int,
-    lr: float,
-    cfg: LossConfig,
-    proj_dim: int,
-    n_classes: int,
-    seed: int,
-    momentum: float = DEFAULT_MOMENTUM,
-) -> tuple[ToyModel, list[TraceRow]]:
+def train_toy(train: Views, eval_views: Views, *, epochs: int, lr: float, cfg: LossConfig,
+              proj_dim: int, n_classes: int, seed: int,
+              momentum: float = DEFAULT_MOMENTUM) -> tuple[ToyModel, list[TraceRow]]:
     """Full-batch gradient descent with an EMA teacher update per step.
 
     The supervised loss weighs classes by :func:`class_weights_from_counts`
     of the training labels. Returns the snapshot with the highest eval macro
     F1 (earliest epoch on ties) and the per-epoch trace. Deterministic given
-    the seed.
+    the seed. A step whose loss is not finite raises :class:`TrainingError`.
     """
-    if not train:
+    if len(train) == 0:
         raise TrainingError("empty training set")
-    if not eval_pairs or any(p.label is None for p in eval_pairs):
+    if len(eval_views) == 0 or np.any(eval_views.labels == -1):
         raise TrainingError("eval split must be nonempty and fully labeled")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if not np.isfinite(lr):
         raise ValueError(f"lr must be finite, got {lr}")
 
-    labels = [int(p.label) for p in train if p.label is not None]
-    if labels and cfg.lambda_sup > 0:
+    labels = train.labels[train.labels != -1]
+    weights = np.ones(n_classes)
+    if len(labels) and cfg.lambda_sup > 0:
         weights = class_weights_from_counts(np.bincount(labels, minlength=n_classes))
-    else:
-        weights = ClassWeights(np.ones(n_classes))
 
     rng = np.random.default_rng(seed)
-    d_in = train[0].x_student.shape[0]
-    student = ToyModel.init_random(d_in, proj_dim, n_classes, rng)
-    ema = EmaState.from_student(student, momentum)
+    student = ToyModel.init_random(train.x_student.shape[1], proj_dim, n_classes, rng)
+    ema = EmaState(student.copy(), momentum)
 
     trace: list[TraceRow] = []
-    best_model: ToyModel | None = None
-    best_mf1 = -1.0
+    best_model, best_mf1 = None, -1.0
     for epoch in range(1, epochs + 1):
-        l_dino, l_sup, l_total, grads = _loss_terms(student, ema, train, weights, cfg)
-        if not np.isfinite(l_total):
-            raise TrainingError(
-                f"training diverged at epoch {epoch} (loss={l_total!r}, lr={lr})"
-            )
-        student = ToyModel(student.proj - lr * grads.proj, student.clf - lr * grads.clf)
-        ema = ema_update(ema, student)
-        mf1 = _eval_mf1(student, eval_pairs)
+        with np.errstate(all="ignore"):  # a step that diverges is reported below instead
+            l_dino, l_sup, l_total, grads = _loss_terms(student, ema, train, weights, cfg)
+            if not np.isfinite(l_total):
+                raise TrainingError(f"training diverged at epoch {epoch} "
+                                    f"(loss={l_total!r}, lr={lr})")
+            student = ToyModel(student.proj - lr * grads.proj, student.clf - lr * grads.clf)
+            ema = ema_update(ema, student)
+            preds = np.argmax(eval_views.x_student @ student.clf, axis=1)
+        mf1 = macro_f1(ConfusionMatrix.from_pairs(eval_views.labels, preds, n_classes))
         trace.append(TraceRow(epoch, l_dino, l_sup, l_total, mf1))
         if mf1 > best_mf1:
-            best_mf1 = mf1
-            best_model = student.copy()
-
+            best_model, best_mf1 = student.copy(), mf1
     return best_model, trace
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = _FD_STEP) -> np.ndarray:
-    """Central-difference gradient of scalar ``f`` at ``x``, one coordinate at a time."""
-    x = np.asarray(x, dtype=np.float64)
+    """Central-difference gradient of scalar ``f`` at ``x``, one coordinate at a time.
+
+    ``f`` sees a C-contiguous float64 copy of ``x`` nudged in place, whatever the layout of ``x``.
+    """
+    x = np.array(x, dtype=np.float64, order="C")
     grad = np.zeros_like(x)
-    flat = x.ravel()
-    g = grad.ravel()
+    flat, g = x.ravel(), grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
@@ -392,10 +327,13 @@ def _random_case(rng: np.random.Generator):
     b = int(rng.integers(2, 7))
     model = ToyModel.init_random(d_in, proj_dim, n_classes, rng, scale=0.5)
     ema = EmaState(ToyModel.init_random(d_in, proj_dim, n_classes, rng, scale=0.5), 0.99)
-    batch = [
-        ViewPair(rng.standard_normal(d_in), rng.standard_normal(d_in), int(rng.integers(n_classes)))
-        for _ in range(b)
-    ]
+    xt, xs = np.empty((b, d_in)), np.empty((b, d_in))
+    labels = np.empty(b, dtype=np.int64)
+    for i in range(b):  # per sample, teacher view, student view, label: the reports' draw order
+        rng.standard_normal(out=xt[i])
+        rng.standard_normal(out=xs[i])
+        labels[i] = rng.integers(n_classes)
+    batch = Views(xt, xs, labels)
     cfg = LossConfig(
         lambda_dino=float(rng.uniform(0.3, 2.0)),
         lambda_sup=float(rng.uniform(0.3, 2.0)),
@@ -417,52 +355,27 @@ def grad_check_report(seed: int = 0, trials: int = 50) -> dict[str, float]:
     worst = {"dino": 0.0, "balanced_ce": 0.0, "total": 0.0}
     for _ in range(trials):
         model, ema, batch, cfg, weights = _random_case(rng)
-
-        def with_params(proj, clf):
-            return ToyModel(proj, clf)
-
-        _, g = dino_loss(model, ema, batch, cfg)
-        num = finite_diff_grad(
-            lambda p: dino_loss(with_params(p, model.clf), ema, batch, cfg)[0],
-            model.proj.copy(),
-        )
-        worst["dino"] = max(worst["dino"], relative_grad_error(g.proj, num))
-
-        _, g = balanced_ce(model, batch, weights)
-        num = finite_diff_grad(
-            lambda c: balanced_ce(with_params(model.proj, c), batch, weights)[0],
-            model.clf.copy(),
-        )
-        worst["balanced_ce"] = max(worst["balanced_ce"], relative_grad_error(g.clf, num))
-
-        _, g = total_loss(model, ema, batch, weights, cfg)
-        num_p = finite_diff_grad(
-            lambda p: total_loss(with_params(p, model.clf), ema, batch, weights, cfg)[0],
-            model.proj.copy(),
-        )
-        num_c = finite_diff_grad(
-            lambda c: total_loss(with_params(model.proj, c), ema, batch, weights, cfg)[0],
-            model.clf.copy(),
-        )
-        err = max(relative_grad_error(g.proj, num_p), relative_grad_error(g.clf, num_c))
-        worst["total"] = max(worst["total"], err)
+        for name, loss, heads in (  # each head's numeric gradient, the other head held
+            ("dino", lambda m: dino_loss(m, ema, batch, cfg), ("proj",)),
+            ("balanced_ce", lambda m: balanced_ce(m, batch, weights), ("clf",)),
+            ("total", lambda m: total_loss(m, ema, batch, weights, cfg), ("proj", "clf")),
+        ):
+            grads = loss(model)[1]
+            err = max(relative_grad_error(getattr(grads, head), finite_diff_grad(
+                lambda x: loss(replace(model, **{head: x}))[0], getattr(model, head)))
+                for head in heads)
+            worst[name] = max(worst[name], err)
     return worst
 
 
-def make_toy_dataset(
-    n_classes: int,
-    dim: int,
-    per_class: int,
-    separation: float,
-    view_sigma: float,
-    seed: int,
-) -> tuple[list[ViewPair], list[ViewPair]]:
-    """Gaussian class clusters rendered as two-view pairs; split train/eval.
+def make_toy_dataset(n_classes: int, dim: int, per_class: int, separation: float,
+                     view_sigma: float, seed: int) -> tuple[Views, Views]:
+    """Gaussian class clusters rendered as two-view samples; split (train, eval).
 
     Views are independent additive-noise perturbations of the same base
     sample. Class means are mutually orthogonal directions scaled by
     ``separation``, so the classes are linearly separable when the view
-    noise is small against it.
+    noise is small against it. Both splits are ordered by class.
     """
     if n_classes > dim:
         raise ValueError("need dim >= n_classes for orthogonal class means")
@@ -472,16 +385,14 @@ def make_toy_dataset(
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, n_classes)))
     means = separation * basis.T  # (n_classes, dim)
-    train: list[ViewPair] = []
-    eval_pairs: list[ViewPair] = []
+    # per sample, in class order: base noise, teacher-view noise, student-view noise
+    noise = rng.standard_normal((n_classes, per_class, 3, dim))
+    base = means[:, None, :] + noise[:, :, 0]
+    xt = base + view_sigma * noise[:, :, 1]
+    xs = base + view_sigma * noise[:, :, 2]
+    labels = np.repeat(np.arange(n_classes), per_class).reshape(n_classes, per_class)
     n_eval = max(1, int(per_class * _EVAL_FRACTION))
-    for c in range(n_classes):
-        for j in range(per_class):
-            base = means[c] + rng.standard_normal(dim)
-            pair = ViewPair(
-                base + view_sigma * rng.standard_normal(dim),
-                base + view_sigma * rng.standard_normal(dim),
-                c,
-            )
-            (eval_pairs if j < n_eval else train).append(pair)
-    return train, eval_pairs
+    train, held_out = (
+        Views(xt[:, part].reshape(-1, dim), xs[:, part].reshape(-1, dim), labels[:, part].ravel())
+        for part in (np.s_[n_eval:], np.s_[:n_eval]))
+    return train, held_out

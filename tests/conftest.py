@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import hierknn
-from hierknn import FeatureBank, bank_build, classify_batch, default_taxonomy, member_outputs
+from hierknn import (FeatureBank, Views, bank_build, classify_batch, default_taxonomy,
+                     member_outputs)
 
 # Directory holding the hierknn package this test process imported: src/
 # under PYTHONPATH=src, the checkout's src/ again under an editable install.
@@ -20,7 +21,7 @@ PACKAGE_ROOT = Path(hierknn.__file__).resolve().parent.parent
 
 
 def run_cli(args, cwd, stdin=None, stdout=subprocess.PIPE, entry=("-m", "hierknn"),
-            unset=(), address_space=None) -> subprocess.CompletedProcess:
+            unset=(), address_space=None, file_size=None) -> subprocess.CompletedProcess:
     """Run ``python -m hierknn *args`` in a fresh interpreter from ``cwd``.
 
     The child gets PACKAGE_ROOT first on its PYTHONPATH, so it runs the same
@@ -31,17 +32,23 @@ def run_cli(args, cwd, stdin=None, stdout=subprocess.PIPE, entry=("-m", "hierknn
     stdout and stderr are captured as text. ``entry`` replaces
     ``-m hierknn``, to add interpreter options or to run a ``-c`` script.
     ``address_space`` caps the child's virtual memory (``RLIMIT_AS``, in
-    bytes), so that a runaway allocation fails fast in the child alone.
+    bytes), so that a runaway allocation fails fast in the child alone;
+    ``file_size`` caps the size of each file it writes (``RLIMIT_FSIZE``).
     """
     env = {key: value for key, value in os.environ.items() if key not in unset}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p
     )
-    limit = None if address_space is None else (
-        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
+    limits = [(resource.RLIMIT_AS, address_space), (resource.RLIMIT_FSIZE, file_size)]
+    limits = [(which, value) for which, value in limits if value is not None]
+
+    def limit():
+        for which, value in limits:
+            resource.setrlimit(which, (value, value))
+
     return subprocess.run(
         [sys.executable, *entry, *args], cwd=cwd, env=env, stdin=stdin, stdout=stdout,
-        stderr=subprocess.PIPE, text=True, timeout=300, preexec_fn=limit,
+        stderr=subprocess.PIPE, text=True, timeout=300, preexec_fn=limit if limits else None,
     )
 
 
@@ -56,6 +63,19 @@ def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     x = rng.standard_normal((n, dim))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return x.astype(np.float32)
+
+
+def toy_views(rng: np.random.Generator, b: int, d_in: int, n_classes=None) -> Views:
+    """b random samples drawn one at a time: teacher view, student view, then a
+    label in [0, n_classes), or none (-1) when ``n_classes`` is None."""
+    xt, xs = np.empty((b, d_in)), np.empty((b, d_in))
+    labels = np.full(b, -1)
+    for i in range(b):
+        xt[i] = rng.standard_normal(d_in)
+        xs[i] = rng.standard_normal(d_in)
+        if n_classes is not None:
+            labels[i] = rng.integers(0, n_classes)
+    return Views(xt, xs, labels)
 
 
 def angled_bank(tax, leaf_names: list[str], dim: int = 4, step: float = 0.01):

@@ -25,7 +25,6 @@ from hierknn import (
     MODERATE_SHIFT,
     SynthConfig,
     ToyModel,
-    ViewPair,
     ablation_grid,
     apply_shift,
     balanced_ce,
@@ -43,7 +42,7 @@ from hierknn import (
     total_loss,
     train_toy,
 )
-from conftest import bank_from_arrays, crossed_label_bank, run_cli, unit_rows
+from conftest import bank_from_arrays, crossed_label_bank, run_cli, toy_views, unit_rows
 
 
 def test_criterion_1_retrieval_matches_brute_force_oracle(tax):
@@ -161,11 +160,7 @@ def test_criterion_4_gradients_match_finite_differences():
             tau_teacher=float(rng.uniform(0.05, 1.0)),
             tau_student=float(rng.uniform(0.1, 1.0)),
         )
-        batch = [
-            ViewPair(rng.standard_normal(d_in), rng.standard_normal(d_in),
-                     int(rng.integers(0, c)))
-            for _ in range(b)
-        ]
+        batch = toy_views(rng, b, d_in, c)
         weights = class_weights_from_counts(rng.integers(1, 9, c))
 
         _, g = dino_loss(model, ema, batch, cfg)
@@ -326,14 +321,12 @@ def test_criterion_8_commands_are_deterministic(tmp_path):
 def test_criterion_9_toy_training_reaches_target_and_keeps_best():
     """The separable toy problem trains past 0.95 MF1 and the returned
     checkpoint reproduces the best traced score."""
-    train, eval_pairs = make_toy_dataset(3, 8, 40, 4.0, 0.5, seed=0)
+    train, eval_views = make_toy_dataset(3, 8, 40, 4.0, 0.5, seed=0)
     model, trace = train_toy(
-        train, eval_pairs, epochs=60, lr=0.1, cfg=LossConfig(),
+        train, eval_views, epochs=60, lr=0.1, cfg=LossConfig(),
         proj_dim=6, n_classes=3, seed=0,
     )
-    xs = np.vstack([p.x_student for p in eval_pairs])
-    labels = [int(p.label) for p in eval_pairs]
-    preds = np.argmax(xs @ model.clf, axis=1)
-    checkpoint_mf1 = macro_f1(ConfusionMatrix.from_pairs(labels, preds, 3))
+    preds = np.argmax(eval_views.x_student @ model.clf, axis=1)
+    checkpoint_mf1 = macro_f1(ConfusionMatrix.from_pairs(eval_views.labels, preds, 3))
     assert checkpoint_mf1 >= 0.95
     assert checkpoint_mf1 == max(row.eval_mf1 for row in trace)

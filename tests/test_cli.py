@@ -1,6 +1,7 @@
 """End-to-end command-line flows run through fresh interpreter processes."""
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -278,6 +279,16 @@ class TestTrainToyCommand:
             assert not (tmp_path / "t.csv").exists()
             assert not (tmp_path / "t.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--tau-s", "1e-300"), ("--separation", "1e200"),
+                                             ("--lambda-dino", "1e308")])
+    def test_diverging_run_prints_only_its_error(self, tmp_path, flag, value):
+        """A run whose loss stops being finite exits 2 with one line on stderr:
+        no numpy warning, with its source line, comes before it."""
+        proc = run(["traintoy", flag, value, "--out", "t.csv"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: training diverged at epoch 2 (loss=nan, lr=0.1)\n"
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestGradCheckCommand:
     def test_reports_three_losses(self, tmp_path):
@@ -286,6 +297,19 @@ class TestGradCheckCommand:
         worst = json.loads((tmp_path / "gc.json").read_text())
         assert set(worst) >= {"dino", "balanced_ce", "total"}
         assert all(v < 1e-4 for v in worst.values())
+
+    def test_two_runs_write_identical_bytes(self, tmp_path):
+        """Two fresh-process runs with one seed print and write the same bytes,
+        manifest included."""
+        procs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            procs.append(run(["grad-check", "--seed", "9", "--trials", "20", "--out", "gc.json"],
+                             tmp_path / name))
+            assert procs[-1].returncode == 0, procs[-1].stderr
+        assert procs[0].stdout == procs[1].stdout
+        for out in ("gc.json", "gc.json.manifest.json"):
+            assert (tmp_path / "a" / out).read_bytes() == (tmp_path / "b" / out).read_bytes(), out
 
 
 class TestRunManifests:
@@ -646,6 +670,18 @@ class TestBadInputs:
             proc = run([*args, "--queries", "q.jsonl", "--out", out], tmp_path)
             self.assert_data_error(proc, "no bank entry under predicted level-1 node 'Blast'",
                                    tmp_path / out)
+
+
+class TestFailedWrite:
+    def test_error_names_the_output(self, tmp_path):
+        """A write that fails names the file it was writing to: here a classify
+        child that may write at most 700 bytes to a file (its RLIMIT_FSIZE)."""
+        make_synth(tmp_path)
+        proc = run(["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl",
+                    "--out", "pred.jsonl", "--k", "3"], tmp_path, file_size=700)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: 'pred.jsonl'\n")
 
 
 class TestSizes:

@@ -12,17 +12,19 @@ from hierknn import (
     LossConfig,
     ToyModel,
     TrainingError,
-    ViewPair,
+    Views,
     balanced_ce,
     class_weights_from_counts,
     dino_loss,
     ema_update,
+    finite_diff_grad,
     macro_f1,
     make_toy_dataset,
     softmax_temp,
     total_loss,
     train_toy,
 )
+from conftest import toy_views
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -55,23 +57,14 @@ def random_case(rng, with_labels: bool = True):
         tau_teacher=float(rng.uniform(0.05, 1.0)),
         tau_student=float(rng.uniform(0.1, 1.0)),
     )
-    batch = [
-        ViewPair(
-            rng.standard_normal(d_in),
-            rng.standard_normal(d_in),
-            int(rng.integers(0, c)) if with_labels else None,
-        )
-        for _ in range(b)
-    ]
+    batch = toy_views(rng, b, d_in, c if with_labels else None)
     weights = class_weights_from_counts(rng.integers(1, 9, c))
     return model, EmaState(teacher, 0.99), batch, weights, cfg
 
 
-def eval_mf1_of(model: ToyModel, pairs: list[ViewPair]) -> float:
-    xs = np.vstack([p.x_student for p in pairs])
-    preds = np.argmax(xs @ model.clf, axis=1)
-    labels = [int(p.label) for p in pairs]
-    return macro_f1(ConfusionMatrix.from_pairs(labels, preds, model.n_classes))
+def eval_mf1_of(model: ToyModel, views: Views) -> float:
+    preds = np.argmax(views.x_student @ model.clf, axis=1)
+    return macro_f1(ConfusionMatrix.from_pairs(views.labels, preds, model.n_classes))
 
 
 class TestSoftmax:
@@ -110,7 +103,7 @@ class TestDinoLoss:
         w[0, 0] = 100.0
         model = ToyModel(w, np.zeros((2, 2)))
         ema = EmaState(model.copy(), 0.9)
-        batch = [ViewPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]))]
+        batch = Views([[1.0, 0.0]], [[1.0, 0.0]], [-1])
         cfg = LossConfig(tau_teacher=0.1, tau_student=0.1)
         loss, _ = dino_loss(model, ema, batch, cfg)
         assert 0.0 <= loss < 1e-8
@@ -121,7 +114,7 @@ class TestDinoLoss:
         k = 5
         teacher = ToyModel(np.zeros((4, k)), np.zeros((4, 2)))
         cfg = LossConfig()
-        batch = [ViewPair(rng.standard_normal(4), rng.standard_normal(4)) for _ in range(6)]
+        batch = toy_views(rng, 6, 4)
         student = ToyModel(rng.standard_normal((4, k)), np.zeros((4, 2)))
         loss, _ = dino_loss(student, EmaState(teacher, 0.9), batch, cfg)
         assert loss >= math.log(k) - 1e-12
@@ -157,20 +150,20 @@ class TestBalancedCE:
         clf = np.zeros((2, 2))
         clf[0, 0] = 200.0
         model = ToyModel(np.zeros((2, 3)), clf)
-        batch = [ViewPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0)]
+        batch = Views([[1.0, 0.0]], [[1.0, 0.0]], [0])
         loss, _ = balanced_ce(model, batch, class_weights_from_counts([4, 4]))
         assert 0.0 <= loss < 1e-12
 
     def test_two_class_coin_flip_costs_ln2(self):
         """Zero logits on two classes under unit weight cost exactly ln 2."""
         model = ToyModel(np.zeros((3, 2)), np.zeros((3, 2)))
-        batch = [ViewPair(np.ones(3), np.ones(3), 0)]
+        batch = Views(np.ones((1, 3)), np.ones((1, 3)), [0])
         loss, _ = balanced_ce(model, batch, class_weights_from_counts([5, 5]))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_unlabeled_sample_rejected(self):
         model = ToyModel(np.zeros((2, 2)), np.zeros((2, 2)))
-        batch = [ViewPair(np.ones(2), np.ones(2), None)]
+        batch = Views(np.ones((1, 2)), np.ones((1, 2)), [-1])
         with pytest.raises(ValueError, match="unlabeled"):
             balanced_ce(model, batch, class_weights_from_counts([1, 1]))
 
@@ -299,17 +292,17 @@ class TestEma:
 class TestClassWeights:
     def test_equal_counts_give_unit_weights(self):
         w = class_weights_from_counts([7, 7, 7])
-        np.testing.assert_allclose(w.w, 1.0, atol=1e-12)
+        np.testing.assert_allclose(w, 1.0, atol=1e-12)
 
     def test_inverse_frequency_hand_case(self):
         w = class_weights_from_counts([1, 3])
-        np.testing.assert_allclose(w.w, [1.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(w, [1.5, 0.5], atol=1e-12)
 
     def test_mean_is_normalized_to_one(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             counts = rng.integers(1, 500, int(rng.integers(2, 14)))
-            assert abs(class_weights_from_counts(counts).w.mean() - 1.0) <= 1e-9
+            assert abs(class_weights_from_counts(counts).mean() - 1.0) <= 1e-9
 
     def test_zero_count_rejected(self):
         with pytest.raises(TrainingError, match="zero training samples"):
@@ -321,24 +314,24 @@ class TestTrainToy:
         params = dict(n_classes=3, dim=8, per_class=30, separation=4.0,
                       view_sigma=0.5, seed=seed)
         params.update(dataset_kwargs)
-        train, eval_pairs = make_toy_dataset(**params)
+        train, eval_views = make_toy_dataset(**params)
         model, trace = train_toy(
-            train, eval_pairs, epochs=epochs, lr=lr, cfg=LossConfig(),
+            train, eval_views, epochs=epochs, lr=lr, cfg=LossConfig(),
             proj_dim=6, n_classes=params["n_classes"], seed=seed,
         )
-        return model, trace, eval_pairs
+        return model, trace, eval_views
 
     def test_separable_classes_are_learned(self):
         """Well-separated clusters reach high eval macro F1."""
-        model, trace, eval_pairs = self.run()
-        assert eval_mf1_of(model, eval_pairs) >= 0.95
+        model, trace, eval_views = self.run()
+        assert eval_mf1_of(model, eval_views) >= 0.95
 
     def test_best_checkpoint_matches_trace_maximum(self):
-        model, trace, eval_pairs = self.run(seed=1)
-        assert eval_mf1_of(model, eval_pairs) == max(r.eval_mf1 for r in trace)
+        model, trace, eval_views = self.run(seed=1)
+        assert eval_mf1_of(model, eval_views) == max(r.eval_mf1 for r in trace)
 
     def test_zero_learning_rate_changes_nothing(self):
-        model, trace, eval_pairs = self.run(seed=2, epochs=10, lr=0.0)
+        model, trace, eval_views = self.run(seed=2, epochs=10, lr=0.0)
         assert len({r.eval_mf1 for r in trace}) == 1
         assert len({r.total for r in trace}) == 1
 
@@ -352,19 +345,85 @@ class TestTrainToy:
         assert [r.epoch for r in trace] == list(range(1, 13))
 
     def test_empty_training_set_rejected(self):
-        _, eval_pairs = make_toy_dataset(3, 8, 12, 4.0, 0.5, 0)
+        _, eval_views = make_toy_dataset(3, 8, 12, 4.0, 0.5, 0)
+        empty = Views(np.empty((0, 8)), np.empty((0, 8)), [])
         with pytest.raises(TrainingError, match="empty training set"):
-            train_toy([], eval_pairs, epochs=1, lr=0.1, cfg=LossConfig(),
+            train_toy(empty, eval_views, epochs=1, lr=0.1, cfg=LossConfig(),
                       proj_dim=4, n_classes=3, seed=0)
 
 
 class TestToyDataset:
     def test_split_sizes_and_labels(self):
-        train, eval_pairs = make_toy_dataset(3, 8, 40, 4.0, 0.5, 0)
-        assert len(train) + len(eval_pairs) == 3 * 40
-        assert all(p.label is not None for p in eval_pairs)
-        assert {int(p.label) for p in eval_pairs} == {0, 1, 2}
+        train, eval_views = make_toy_dataset(3, 8, 40, 4.0, 0.5, 0)
+        assert len(train) + len(eval_views) == 3 * 40
+        assert all(label != -1 for label in eval_views.labels.tolist())
+        assert set(eval_views.labels.tolist()) == {0, 1, 2}
 
     def test_dim_must_cover_classes(self):
         with pytest.raises(ValueError, match="dim"):
             make_toy_dataset(5, 3, 10, 4.0, 0.5, 0)
+
+    @pytest.mark.parametrize("n_classes, dim, per_class, seed",
+                             [(3, 8, 40, 0), (5, 12, 9, 3), (1, 3, 5, 7), (2, 2, 1, 1)])
+    def test_columns_match_per_sample_draws(self, n_classes, dim, per_class, seed):
+        """Bit for bit, the columns are what drawing one sample at a time gives:
+        per class, per sample, base noise, then teacher and student view noise;
+        the first quarter of each class (at least one sample) is held out."""
+        separation, view_sigma = 2.5, 0.7
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, n_classes)))
+        means = separation * basis.T
+        n_eval = max(1, int(per_class * 0.25))
+        rows = {False: ([], [], []), True: ([], [], [])}  # keyed by "held out"
+        for c in range(n_classes):
+            for j in range(per_class):
+                base = means[c] + rng.standard_normal(dim)
+                xt = base + view_sigma * rng.standard_normal(dim)
+                xs = base + view_sigma * rng.standard_normal(dim)
+                for column, value in zip(rows[j < n_eval], (xt, xs, c)):
+                    column.append(value)
+
+        splits = make_toy_dataset(n_classes, dim, per_class, separation, view_sigma, seed)
+        for views, (xt, xs, labels) in zip(splits, (rows[False], rows[True])):
+            for got, want in ((views.x_teacher, xt), (views.x_student, xs)):
+                assert got.dtype == np.float64 and got.shape == (len(want), dim)
+                assert got.tobytes() == np.array(want).reshape(-1, dim).tobytes()
+            assert views.labels.tolist() == labels
+
+
+class TestViews:
+    def test_len_is_the_sample_count(self):
+        assert len(Views(np.zeros((5, 3)), np.zeros((5, 3)), np.full(5, -1))) == 5
+
+    def test_views_must_share_dims(self):
+        with pytest.raises(ValueError, match="views must share dims"):
+            Views(np.zeros((4, 3)), np.zeros((4, 2)), np.zeros(4))
+
+    def test_one_label_per_row(self):
+        with pytest.raises(ValueError, match="one label per row"):
+            Views(np.zeros((4, 3)), np.zeros((4, 3)), [0, 1])
+
+    def test_labeled_rows_are_taken_for_the_supervised_term(self):
+        """A batch with unlabeled rows gives the supervised term of its labeled rows."""
+        rng = np.random.default_rng(15)
+        model, ema, batch, weights, _ = random_case(rng)
+        labels = batch.labels.copy()
+        labels[::2] = -1
+        mixed = Views(batch.x_teacher, batch.x_student, labels)
+        cfg = LossConfig(lambda_dino=0.0, lambda_sup=1.0)
+        total, g_total = total_loss(model, ema, mixed, weights, cfg)
+        ce, g_ce = balanced_ce(model, mixed[labels != -1], weights)
+        assert total == ce
+        np.testing.assert_array_equal(g_total.clf, g_ce.clf)
+
+
+class TestFiniteDiffGrad:
+    def test_any_layout_gives_the_gradient(self):
+        """A transposed or strided input gets the gradient of its values, and is left as it was."""
+        a = np.arange(12.0).reshape(3, 4) - 5.0
+        for x in (a, a.T, a[:, ::2]):
+            before = x.copy()
+            grad = finite_diff_grad(lambda v: float((v * v).sum()), x)
+            assert grad.shape == x.shape
+            np.testing.assert_allclose(grad, 2.0 * x, rtol=1e-7, atol=1e-7)
+            np.testing.assert_array_equal(x, before)
