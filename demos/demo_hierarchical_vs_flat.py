@@ -10,11 +10,11 @@ being outvoted by neighbors in other lineages.
 import argparse
 
 from hierknn import (
-    ConfusionMatrix,
     ShiftSpec,
     SynthConfig,
     apply_shift,
     classify_batch,
+    confusion,
     default_taxonomy,
     generate,
     macro_f1,
@@ -55,8 +55,8 @@ def main() -> None:
             )
 
     n_classes = tax.leaf_count
-    mf1_flat = macro_f1(ConfusionMatrix.from_pairs(truth, flat_preds, n_classes))
-    mf1_hier = macro_f1(ConfusionMatrix.from_pairs(truth, hier_preds, n_classes))
+    mf1_flat = macro_f1(confusion(truth, res.flat_leaf, n_classes))
+    mf1_hier = macro_f1(confusion(truth, res.y3, n_classes))
     total_diff = sum(1 for f, h in zip(flat_preds, hier_preds) if f != h)
     print(f"\nqueries where the two modes disagree: {total_diff}")
     print(f"queries that needed the level fallback: {fallback_hits}")

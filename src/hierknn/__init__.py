@@ -46,8 +46,8 @@ from .infer import (
 )
 from .knn import DEFAULT_K, search
 from .metrics import (
-    ConfusionMatrix,
     F1_CONVENTION,
+    confusion,
     macro_f1,
     score_predictions,
 )

@@ -353,14 +353,17 @@ def cmd_evaluate(args, files: _Files) -> None:
     by_id = files.read_records(args.preds, lambda recs: _leaves_by_id(recs, tax, "prediction"))
     truth = files.read_records(args.truth, lambda recs: _leaves_by_id(recs, tax, "truth"))
     try:
-        preds = [by_id[qid] for qid in truth]
+        preds = np.fromiter((by_id[qid] for qid in truth), np.int64, len(truth))
     except KeyError as exc:
         raise ManifestError(f"no prediction for id {exc.args[0]!r}") from None
     extra = next((qid for qid in by_id if qid not in truth), None)
     if extra is not None:
         raise ManifestError(f"prediction id {extra!r} has no truth record")
+    if not truth:
+        raise ManifestError(f"{args.truth}: no truth records to score")
 
-    cm, mf1, report = score_predictions(list(truth.values()), preds, tax.leaf_count)
+    truth_leaves = np.fromiter(truth.values(), np.int64, len(truth))
+    grid, mf1, report = score_predictions(truth_leaves, preds, tax.leaf_count)
     for entry in report["classes"]:
         entry["leaf"] = tax.name_of(3, entry["index"])
     print(f"macro_f1: {mf1!r} over {len(truth)} samples")
@@ -370,9 +373,7 @@ def cmd_evaluate(args, files: _Files) -> None:
     if args.cm:
         names = tax.names(3)
         lines = ["true," + ",".join(names)]
-        for c in range(tax.leaf_count):
-            counts = ",".join(str(int(v)) for v in cm.counts[c])
-            lines.append(f"{names[c]},{counts}")
+        lines += [f"{name},{','.join(map(str, row))}" for name, row in zip(names, grid.tolist())]
         files.write_text(args.cm, "\n".join(lines))
 
 

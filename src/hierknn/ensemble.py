@@ -14,7 +14,7 @@ import numpy as np
 
 from .bank import FeatureBank
 from .infer import BatchPrediction, _vote, classify_batch
-from .metrics import ConfusionMatrix, macro_f1
+from .metrics import confusion, macro_f1
 from .taxonomy import Taxonomy
 
 TIE_POLICIES = ("similarity-margin", "first-member")
@@ -98,7 +98,6 @@ def ablation_grid(
     hierarchical outputs, which are reused across sizes; so the grid costs
     the same as scoring each member once.
     """
-    truth = [int(t) for t in truth_leaves]
     vectors = np.asarray(query_vectors, dtype=np.float64)
     flat_members, hier_members = [], []
     for bank in banks:
@@ -108,7 +107,7 @@ def ablation_grid(
 
     def mf1(members: list[MemberOutputs]) -> float:
         preds = combine_members(members, policy)
-        return macro_f1(ConfusionMatrix.from_pairs(truth, preds, tax.leaf_count))
+        return macro_f1(confusion(truth_leaves, preds, tax.leaf_count))
 
     return [
         AblationRow(m, mf1(flat_members[:m]), mf1(hier_members[:m]))

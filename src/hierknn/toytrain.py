@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import TrainingError
-from .metrics import ConfusionMatrix, macro_f1
+from .metrics import confusion, macro_f1
 
 DEFAULT_TAU_TEACHER = 0.04
 DEFAULT_TAU_STUDENT = 0.1
@@ -287,7 +287,7 @@ def train_toy(train: Views, eval_views: Views, *, epochs: int, lr: float, cfg: L
             student = ToyModel(student.proj - lr * grads.proj, student.clf - lr * grads.clf)
             ema = ema_update(ema, student)
             preds = np.argmax(eval_views.x_student @ student.clf, axis=1)
-        mf1 = macro_f1(ConfusionMatrix.from_pairs(eval_views.labels, preds, n_classes))
+        mf1 = macro_f1(confusion(eval_views.labels, preds, n_classes))
         trace.append(TraceRow(epoch, l_dino, l_sup, l_total, mf1))
         if mf1 > best_mf1:
             best_model, best_mf1 = student.copy(), mf1

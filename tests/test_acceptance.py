@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from hierknn import (
-    ConfusionMatrix,
     EmaState,
     FeatureBank,
     LossConfig,
@@ -31,6 +30,7 @@ from hierknn import (
     bank_load,
     bank_save,
     class_weights_from_counts,
+    confusion,
     default_taxonomy,
     dino_loss,
     ema_update,
@@ -117,11 +117,10 @@ def test_criterion_3_macro_f1_recount_oracle():
         n = int(rng.integers(1, 400))
         truth = list(rng.integers(0, c, n))
         preds = [int(t) if rng.random() < 0.5 else int(rng.integers(0, c)) for t in truth]
-        cm = ConfusionMatrix.from_pairs(truth, preds, c)
-        assert abs(macro_f1(cm) - recount(truth, preds, c)) <= 1e-12
+        grid = confusion(truth, preds, c)
+        assert abs(macro_f1(grid) - recount(truth, preds, c)) <= 1e-12
 
-    hand = ConfusionMatrix(2)
-    hand.counts[:] = [[3, 1], [2, 4]]
+    hand = np.array([[3, 1], [2, 4]])
     assert abs(macro_f1(hand) - 23 / 33) <= 1e-12
 
 
@@ -327,6 +326,6 @@ def test_criterion_9_toy_training_reaches_target_and_keeps_best():
         proj_dim=6, n_classes=3, seed=0,
     )
     preds = np.argmax(eval_views.x_student @ model.clf, axis=1)
-    checkpoint_mf1 = macro_f1(ConfusionMatrix.from_pairs(eval_views.labels, preds, 3))
+    checkpoint_mf1 = macro_f1(confusion(eval_views.labels, preds, 3))
     assert checkpoint_mf1 >= 0.95
     assert checkpoint_mf1 == max(row.eval_mf1 for row in trace)

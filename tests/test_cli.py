@@ -152,6 +152,22 @@ class TestClassifyAndEvaluate:
         assert capsys.readouterr().out == "macro_f1: 1.0 over 2000 samples\n"
         assert peak < 2000 * 256 * 8, peak
 
+    def test_empty_truth_file_is_named(self, tmp_path):
+        """No macro F1 over zero records: exit 2 naming the truth file, and no
+        report or manifest. A prediction without a truth record is named first."""
+        (tmp_path / "empty.jsonl").write_text("\n", encoding="utf-8")
+        proc = run(["evaluate", "--preds", "empty.jsonl", "--truth", "empty.jsonl",
+                    "--report", "r.json", "--cm", "cm.csv"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: empty.jsonl: no truth records to score" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
+
+        (tmp_path / "p.jsonl").write_text(json.dumps({"id": "q0", "y3": "BL"}) + "\n",
+                                          encoding="utf-8")
+        proc = run(["evaluate", "--preds", "p.jsonl", "--truth", "empty.jsonl"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: prediction id 'q0' has no truth record" in proc.stderr
+
     def test_flat_flag_changes_only_method(self, tmp_path):
         make_synth(tmp_path)
         a = run(["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl",
@@ -764,6 +780,40 @@ class TestPinnedOutputs:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.PINNED}
         assert digests == self.PINNED
+
+    # evaluate over the hierarchical and the --flat predictions: report, grid and manifests
+    PINNED_EVALUATE = {
+        "report.json": "3e6cd8653f146e7a123a9290c888b52efae2637aaeda8f026749f088b9898c2d",
+        "cm.csv": "d913a5aa601d26fe4205c92d7d34adf6ba5f71e771c8750288dfa10f714201c7",
+        "flat_report.json": "d1c54ad66c8588f4c2236a40e883052b23ffcdf7f49b9952b4b9c1b49a477c97",
+        "flat_cm.csv": "020c958acdb64cf1621f598f278692241e8e463c688f435728c8fc221321c619",
+        # one run manifest per command, beside its first output
+        "report.json.manifest.json":
+            "730a055e70accceb19f56ba5bff5c2a6b92940395cce036cb7505332ceb380d2",
+        "flat_report.json.manifest.json":
+            "dc0b872e164903ebcaeb026ebb7aa4dc7c6153795ccaebf61114a1bac87508b9",
+    }
+    PINNED_EVALUATE_STDOUT = {
+        "preds.jsonl": "macro_f1: 0.34554334554334554 over 36 samples\n",
+        "flat.jsonl": "macro_f1: 0.39416139416139423 over 36 samples\n",
+    }
+
+    def test_evaluate_matches_pinned_digests(self, tmp_path):
+        make_synth(tmp_path)
+        for out, flat in (("preds.jsonl", ()), ("flat.jsonl", ("--flat",))):
+            proc = run(["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl",
+                        "--out", out, "--k", "5", *flat], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        stdout = {}
+        for preds, prefix in (("preds.jsonl", ""), ("flat.jsonl", "flat_")):
+            proc = run(["evaluate", "--preds", preds, "--truth", "q.jsonl",
+                        "--report", f"{prefix}report.json", "--cm", f"{prefix}cm.csv"], tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            stdout[preds] = proc.stdout
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PINNED_EVALUATE}
+        assert digests == self.PINNED_EVALUATE
+        assert stdout == self.PINNED_EVALUATE_STDOUT
 
     # synth with a query shift, and a bank built from the shifted queries
     PINNED_SYNTH = {

@@ -1,12 +1,13 @@
 """Confusion-matrix scoring against an exact rational recount oracle."""
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hierknn import ConfusionMatrix, F1_CONVENTION, macro_f1, score_predictions
+from hierknn import F1_CONVENTION, confusion, macro_f1, score_predictions
 
 
 def recount_macro_f1(truth, preds, n_classes: int) -> float:
@@ -19,16 +20,6 @@ def recount_macro_f1(truth, preds, n_classes: int) -> float:
         denom = 2 * tp + fp + fn
         total += Fraction(2 * tp, denom) if denom else Fraction(0)
     return float(total / n_classes)
-
-
-def cm_from(grid) -> ConfusionMatrix:
-    grid = np.asarray(grid)
-    cm = ConfusionMatrix(grid.shape[0])
-    for t in range(grid.shape[0]):
-        for p in range(grid.shape[1]):
-            for _ in range(int(grid[t, p])):
-                cm.add(t, p)
-    return cm
 
 
 def report_f1(grid) -> list[float]:
@@ -58,22 +49,22 @@ class TestPerClassF1:
 
 class TestMacroF1:
     def test_perfect_thirteen_class(self):
-        assert macro_f1(cm_from(np.diag([2] * 13))) == 1.0
+        assert macro_f1(np.diag([2] * 13)) == 1.0
 
     def test_two_class_hand_matrix(self):
         """[[3,1],[2,4]] averages 6/9 and 8/11 to 23/33 = 0.696969..."""
-        got = macro_f1(cm_from([[3, 1], [2, 4]]))
+        got = macro_f1(np.array([[3, 1], [2, 4]]))
         assert got == pytest.approx(23 / 33, abs=1e-12)
 
     def test_all_wrong_is_zero(self):
-        assert macro_f1(cm_from([[0, 3], [2, 0]])) == 0.0
+        assert macro_f1(np.array([[0, 3], [2, 0]])) == 0.0
 
     def test_bounded_and_one_only_when_diagonal(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             c = int(rng.integers(1, 8))
             grid = rng.integers(0, 6, (c, c))
-            value = macro_f1(cm_from(grid))
+            value = macro_f1(grid)
             assert 0.0 <= value <= 1.0
             if value == 1.0:
                 off = grid - np.diag(np.diag(grid))
@@ -86,19 +77,17 @@ class TestMacroF1:
             truth = list(rng.integers(0, c, 120))
             preds = list(rng.integers(0, c, 120))
             perm = list(rng.permutation(c))
-            base = ConfusionMatrix.from_pairs(truth, preds, c)
-            moved = ConfusionMatrix.from_pairs(
-                [perm[t] for t in truth], [perm[p] for p in preds], c
-            )
+            base = confusion(truth, preds, c)
+            moved = confusion([perm[t] for t in truth], [perm[p] for p in preds], c)
             assert macro_f1(base) == pytest.approx(macro_f1(moved), abs=1e-12)
 
 
 class TestScorePredictions:
     def test_perfect_agreement(self):
         truth = [0, 1, 2, 1, 0]
-        cm, mf1, report = score_predictions(truth, truth, 3)
+        grid, mf1, report = score_predictions(truth, truth, 3)
         assert mf1 == 1.0
-        assert cm.counts.sum() == 5
+        assert grid.sum() == 5
         assert report["macro_f1"] == 1.0
         assert report["convention"] == F1_CONVENTION
 
@@ -148,12 +137,9 @@ class TestMerge:
         rng = np.random.default_rng(4)
         truth = list(rng.integers(0, 5, 200))
         preds = list(rng.integers(0, 5, 200))
-        whole = ConfusionMatrix.from_pairs(truth, preds, 5)
-        a = ConfusionMatrix.from_pairs(truth[:90], preds[:90], 5)
-        b = ConfusionMatrix.from_pairs(truth[90:], preds[90:], 5)
-        merged = ConfusionMatrix(5)
-        merged.counts = a.counts + b.counts
-        assert np.array_equal(merged.counts, whole.counts)
+        whole = confusion(truth, preds, 5)
+        merged = confusion(truth[:90], preds[:90], 5) + confusion(truth[90:], preds[90:], 5)
+        assert np.array_equal(merged, whole)
         assert macro_f1(merged) == macro_f1(whole)
 
 
@@ -166,15 +152,29 @@ class TestFromPairs:
             n = int(rng.integers(0, 150))
             truth = list(rng.integers(0, c, n))
             preds = [int(p) for p in rng.integers(0, c, n)]
-            one_by_one = ConfusionMatrix(c)
+            one_by_one = np.zeros((c, c), dtype=np.int64)
             for t, p in zip(truth, preds):
-                one_by_one.add(int(t), p)
-            cm = ConfusionMatrix.from_pairs(iter(truth), iter(preds), c)
-            assert np.array_equal(cm.counts, one_by_one.counts)
+                one_by_one[t, p] += 1
+            assert np.array_equal(confusion(truth, preds, c), one_by_one)
 
     @pytest.mark.parametrize("truth, preds", [([0, 1, 3], [0, 1, 2]), ([0, -1], [0, 0]),
                                               ([0, 0], [2, 5])])
     def test_first_out_of_range_pair_named(self, truth, preds):
         i = next(j for j, (t, p) in enumerate(zip(truth, preds)) if not (0 <= t < 3 and 0 <= p < 3))
         with pytest.raises(ValueError, match=rf"\({truth[i]}, {preds[i]}\) out of range for C=3"):
-            ConfusionMatrix.from_pairs(truth, preds, 3)
+            confusion(truth, preds, 3)
+
+    def test_array_pairs_are_not_copied_to_lists(self):
+        """Two 1,000,000-entry int64 label arrays are counted as arrays: the
+        traced peak stays below three times one input's size."""
+        rng = np.random.default_rng(6)
+        truth = rng.integers(0, 13, 1_000_000)
+        preds = rng.integers(0, 13, 1_000_000)
+        tracemalloc.start()
+        try:
+            grid = confusion(truth, preds, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.sum() == 1_000_000
+        assert peak < 3 * truth.nbytes, peak

@@ -9,13 +9,13 @@ import pytest
 
 from hierknn import (
     MODERATE_SHIFT,
-    ConfusionMatrix,
     QuerySet,
     ShiftSpec,
     SynthConfig,
     SynthError,
     apply_shift,
     classify_batch,
+    confusion,
     generate,
     generate_member_banks,
     macro_f1,
@@ -234,11 +234,11 @@ class TestApplyShift:
         shifted = apply_shift(queries, MODERATE_SHIFT, seed=0)
 
         def mf1_of(records):
-            cm = ConfusionMatrix(tax.leaf_count)
+            truth, preds = [], []
             for rec in records:
-                pred = classify_batch(bank, [rec["vector"]], 7, tax).flat_leaf[0]
-                cm.add(tax.index_of(3, rec["label"]), pred)
-            return macro_f1(cm)
+                preds.append(classify_batch(bank, [rec["vector"]], 7, tax).flat_leaf[0])
+                truth.append(tax.index_of(3, rec["label"]))
+            return macro_f1(confusion(truth, preds, tax.leaf_count))
 
         clean = mf1_of(queries)
         degraded = mf1_of(shifted)

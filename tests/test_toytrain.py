@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hierknn import (
-    ConfusionMatrix,
     EmaState,
     LossConfig,
     ToyModel,
@@ -15,6 +14,7 @@ from hierknn import (
     Views,
     balanced_ce,
     class_weights_from_counts,
+    confusion,
     dino_loss,
     ema_update,
     finite_diff_grad,
@@ -64,7 +64,7 @@ def random_case(rng, with_labels: bool = True):
 
 def eval_mf1_of(model: ToyModel, views: Views) -> float:
     preds = np.argmax(views.x_student @ model.clf, axis=1)
-    return macro_f1(ConfusionMatrix.from_pairs(views.labels, preds, model.n_classes))
+    return macro_f1(confusion(views.labels, preds, model.n_classes))
 
 
 class TestSoftmax:
