@@ -23,7 +23,6 @@ from .bank import (
 )
 from .ensemble import (
     AblationRow,
-    MemberOutputs,
     ablation_grid,
     combine_members,
     member_outputs,

@@ -271,8 +271,9 @@ def cmd_ensemble(args, files: _Files) -> None:
     banks = files.read_banks(args.banks.split(","), tax)
     queries = files.read_records(args.queries, functools.partial(QuerySet.from_records,
                                                                  dim=banks[0].dim))
-    members = [member_outputs(b, queries.vectors, args.k, tax, args.flat) for b in banks]
-    labels = np.array(tax.names(3), dtype=object)[combine_members(members, args.tie_policy)]
+    columns = (member_outputs(b, queries.vectors, args.k, tax, args.flat) for b in banks)
+    preds = combine_members(*map(np.column_stack, zip(*columns)), args.tie_policy)
+    labels = np.array(tax.names(3), dtype=object)[preds]
     out_records = [{"id": qid, "label": label} for qid, label in zip(queries.ids, labels)]
     files.write_records(args.out, out_records)
     print(f"wrote {args.out}: {len(out_records)} predictions from {len(banks)} members")

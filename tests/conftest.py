@@ -19,6 +19,17 @@ from hierknn import (FeatureBank, Views, bank_build, classify_batch, default_tax
 # under PYTHONPATH=src, the checkout's src/ again under an editable install.
 PACKAGE_ROOT = Path(hierknn.__file__).resolve().parent.parent
 
+# The determinism fixture: the synth config whose command outputs
+# TestPinnedOutputs pins.
+SMALL_CONFIG = """
+dim = 8
+per_leaf_counts = 12, 10, 8, 20, 30, 12, 8, 6, 10, 24, 6, 5, 9
+lineage_separation = 3.0
+leaf_separation = 1.4
+noise_sigma = 0.7
+seed = 5
+"""
+
 
 def run_cli(args, cwd, stdin=None, stdout=subprocess.PIPE, entry=("-m", "hierknn"),
             unset=(), address_space=None, file_size=None) -> subprocess.CompletedProcess:
@@ -148,7 +159,7 @@ def margins_by_hand(bank, queries, k, tax) -> dict[bool, list[float]]:
         for row in counts.tolist():
             top, runner_up = sorted(row, reverse=True)[:2]
             by_hand.append((top - runner_up) / k)
-        margins = member_outputs(bank, queries, k, tax, flat).margins.tolist()
+        margins = member_outputs(bank, queries, k, tax, flat)[1].tolist()
         assert margins == by_hand, (k, flat)
         out[flat] = margins
     return out

@@ -12,16 +12,7 @@ import numpy as np
 import pytest
 
 from hierknn import FeatureBank, bank_load, bank_save, default_taxonomy
-from conftest import bank_from_arrays, run_cli as run, unit_rows
-
-SMALL_CONFIG = """
-dim = 8
-per_leaf_counts = 12, 10, 8, 20, 30, 12, 8, 6, 10, 24, 6, 5, 9
-lineage_separation = 3.0
-leaf_separation = 1.4
-noise_sigma = 0.7
-seed = 5
-"""
+from conftest import SMALL_CONFIG, bank_from_arrays, run_cli as run, unit_rows
 
 
 def assert_usage_error(proc):

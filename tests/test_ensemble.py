@@ -1,6 +1,8 @@
 """Majority voting across member banks and the ensemble-size ablation grid."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from hierknn import (
     member_outputs,
     predict_hierarchical,
 )
-from hierknn.ensemble import TIE_POLICIES, MemberOutputs
+from hierknn.ensemble import TIE_POLICIES
 from conftest import (
     all_cases,
     angled_bank,
@@ -25,18 +27,15 @@ from conftest import (
 )
 
 
-def random_outputs(rng, n_members: int, n_queries: int) -> list[MemberOutputs]:
-    return [
-        MemberOutputs(rng.integers(0, 13, n_queries), rng.random(n_queries))
-        for _ in range(n_members)
-    ]
+def random_outputs(rng, n_members: int, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
+    """(queries, members) leaf and margin columns."""
+    return (rng.integers(0, 13, (n_queries, n_members)),
+            rng.random((n_queries, n_members)))
 
 
 def vote_one(member_preds, member_margins, policy: str = "similarity-margin") -> int:
-    """One query's vote: each member a one-query ``MemberOutputs``, through ``combine_members``."""
-    members = [MemberOutputs(np.array([p]), np.array([m]))
-               for p, m in zip(member_preds, member_margins)]
-    return combine_members(members, policy)[0]
+    """One query's vote: a one-row column of each member, through ``combine_members``."""
+    return combine_members(np.array([member_preds]), np.array([member_margins]), policy)[0]
 
 
 class TestVote:
@@ -73,9 +72,9 @@ class TestVote:
 
     def test_errors(self):
         with pytest.raises(ValueError, match="no members"):
-            combine_members([])
+            combine_members(np.empty((3, 0)), np.empty((3, 0)))
         with pytest.raises(ValueError, match="aligned"):
-            MemberOutputs(np.array([1, 2]), np.array([0.5]))
+            combine_members(np.array([[1], [2]]), np.array([[0.5]]))
         with pytest.raises(ValueError, match="tie policy"):
             vote_one([1], [0.5], policy="coin-flip")
 
@@ -83,38 +82,38 @@ class TestVote:
 class TestCombine:
     def test_one_member_is_identity(self):
         rng = np.random.default_rng(0)
-        (m,) = random_outputs(rng, 1, 30)
-        assert combine_members([m]) == list(m.leaves)
+        leaves, margins = random_outputs(rng, 1, 30)
+        assert combine_members(leaves, margins) == list(leaves[:, 0])
 
     def test_identical_members_equal_single(self):
         rng = np.random.default_rng(1)
-        (m,) = random_outputs(rng, 1, 25)
+        leaves, margins = random_outputs(rng, 1, 25)
         for copies in (2, 5, 7):
-            assert combine_members([m] * copies) == list(m.leaves)
+            assert combine_members(np.tile(leaves, copies), np.tile(margins, copies)) == \
+                list(leaves[:, 0])
 
     def test_unanimous_members_keep_the_leaf(self):
         """Seven members agreeing on every query cannot be outvoted."""
         rng = np.random.default_rng(2)
         leaves = rng.integers(0, 13, 20)
-        members = [MemberOutputs(leaves, rng.random(20)) for _ in range(7)]
-        assert combine_members(members) == list(leaves)
+        assert combine_members(np.tile(leaves[:, None], 7), rng.random((20, 7))) == list(leaves)
 
     def test_permutation_robustness(self):
         """Member order does not change winners when margins are generic."""
         rng = np.random.default_rng(3)
         for _ in range(20):
-            members = random_outputs(rng, int(rng.integers(2, 8)), 12)
-            base = combine_members(members)
-            perm = list(rng.permutation(len(members)))
-            assert combine_members([members[i] for i in perm]) == base
+            leaves, margins = random_outputs(rng, int(rng.integers(2, 8)), 12)
+            base = combine_members(leaves, margins)
+            perm = rng.permutation(leaves.shape[1])
+            assert combine_members(leaves[:, perm], margins[:, perm]) == base
 
     def test_adding_an_agreeing_member_never_flips(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            members = random_outputs(rng, int(rng.integers(1, 6)), 10)
-            base = combine_members(members)
-            extra = MemberOutputs(np.array(base), rng.random(10))
-            assert combine_members(members + [extra]) == base
+            leaves, margins = random_outputs(rng, int(rng.integers(1, 6)), 10)
+            base = combine_members(leaves, margins)
+            assert combine_members(np.column_stack([leaves, base]),
+                                   np.column_stack([margins, rng.random(10)])) == base
 
     @staticmethod
     def reference_vote(preds, margins, policy):
@@ -140,10 +139,9 @@ class TestCombine:
             leaves = rng.choice(values, size=(n_members, n))
             k = int(rng.choice([3, 7, 10, 35]))
             margins = rng.integers(0, k + 1, size=(n_members, n)) / k
-            members = [MemberOutputs(l, m) for l, m in zip(leaves, margins)]
             want = [self.reference_vote(leaves[:, j].tolist(), margins[:, j].tolist(), policy)
                     for j in range(n)]
-            assert combine_members(members, policy) == want
+            assert combine_members(leaves.T, margins.T, policy) == want
             for j in range(min(n, 3)):
                 assert vote_one(leaves[:, j], margins[:, j], policy) == want[j]
 
@@ -153,29 +151,47 @@ class TestCombine:
         """Every leaf assignment of the members over 8 leaves, times every weak
         order of their margins (dyadic, with 0, so sums are exact and tie)."""
         leaves, margins = all_cases(8, n_members, (0.5, 0.25, 0.0))
-        members = [MemberOutputs(leaves[:, j], margins[:, j]) for j in range(n_members)]
         want = [self.reference_vote(l, m, policy)
                 for l, m in zip(leaves.tolist(), margins.tolist())]
-        assert combine_members(members, policy) == want
+        assert combine_members(leaves, margins, policy) == want
 
     def test_unknown_policy_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="tie policy"):
-            combine_members(random_outputs(rng, 2, 4), policy="coin-flip")
+            combine_members(*random_outputs(rng, 2, 4), policy="coin-flip")
 
     def test_mismatched_query_counts_rejected(self):
         rng = np.random.default_rng(5)
-        a = random_outputs(rng, 1, 10)[0]
-        b = random_outputs(rng, 1, 11)[0]
-        with pytest.raises(ValueError, match="query counts"):
-            combine_members([a, b])
+        leaves, _ = random_outputs(rng, 2, 10)
+        _, margins = random_outputs(rng, 2, 11)
+        with pytest.raises(ValueError, match=r"\(10, 2\) and margins \(11, 2\) are not aligned"):
+            combine_members(leaves, margins)
 
     def test_misaligned_member_columns_rejected(self):
-        """A member's leaf and margin columns must cover the same queries."""
+        """Leaves and margins must be (queries, members) arrays of one shape."""
         rng = np.random.default_rng(7)
-        for n_leaves, n_margins in ((3, 2), (0, 1), (5, 9)):
-            with pytest.raises(ValueError, match=rf"not aligned \({n_leaves} vs {n_margins} "):
-                MemberOutputs(rng.integers(0, 13, n_leaves), rng.random(n_margins))
+        for leaf_shape, margin_shape in (((3, 2), (3, 1)), ((0, 1), (1, 1)), ((5,), (5,)),
+                                         ((2, 2, 1), (2, 2, 1))):
+            with pytest.raises(ValueError, match=rf"leaves \({', '.join(map(str, leaf_shape))}"):
+                combine_members(rng.integers(0, 13, leaf_shape), rng.random(margin_shape))
+
+    @pytest.mark.parametrize("policy", TIE_POLICIES)
+    def test_thousand_members_vote_in_bounded_memory(self, policy):
+        """1,000 members over the stock 389 queries: the vote's peak stays far
+        below a (queries x members x members) temporary's 389 MB, and it still
+        equals the running tally."""
+        rng = np.random.default_rng(32)
+        leaves = rng.choice([0, 3, 12, -3, 10**6], size=(389, 1000))
+        margins = rng.integers(0, 36, size=leaves.shape) / 35
+        tracemalloc.start()
+        try:
+            preds = combine_members(leaves, margins, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert preds[:20] == [self.reference_vote(l, m, policy) for l, m in
+                              zip(leaves[:20].tolist(), margins[:20].tolist())]
 
 
 class TestMemberOutputs:
@@ -183,13 +199,13 @@ class TestMemberOutputs:
         rng = np.random.default_rng(6)
         bank = bank_from_arrays(tax, unit_rows(rng, 50, 6), list(rng.integers(0, 13, 50)))
         queries = [unit_rows(rng, 1, 6)[0] for _ in range(8)]
-        out = member_outputs(bank, queries, 5, tax)
-        for q, leaf in zip(queries, out.leaves):
+        leaves, margins = member_outputs(bank, queries, 5, tax)
+        for q, leaf in zip(queries, leaves):
             assert leaf == predict_hierarchical(bank, q, 5, tax).y3
-        flat = member_outputs(bank, queries, 5, tax, flat=True)
-        for q, leaf in zip(queries, flat.leaves):
+        flat_leaves, _ = member_outputs(bank, queries, 5, tax, flat=True)
+        for q, leaf in zip(queries, flat_leaves):
             assert leaf == classify_batch(bank, [q], 5, tax).flat_leaf[0]
-        assert all(0.0 <= m <= 1.0 for m in out.margins)
+        assert all(0.0 <= m <= 1.0 for m in margins)
 
 
 class TestMemberChecks:
@@ -211,7 +227,8 @@ class TestMemberEnsemble:
         rng = np.random.default_rng(10)
         bank = bank_from_arrays(tax, unit_rows(rng, 60, 6), list(rng.integers(0, 13, 60)))
         queries = unit_rows(rng, 12, 6).astype(np.float64)
-        preds = combine_members([member_outputs(bank, queries, 5, tax)])
+        leaves, margins = member_outputs(bank, queries, 5, tax)
+        preds = combine_members(leaves[:, None], margins[:, None])
         assert preds == [predict_hierarchical(bank, q, 5, tax).y3 for q in queries]
 
     def test_identical_members_match_single(self, tax):
@@ -219,8 +236,9 @@ class TestMemberEnsemble:
         bank = bank_from_arrays(tax, unit_rows(rng, 60, 6), list(rng.integers(0, 13, 60)))
         queries = unit_rows(rng, 10, 6).astype(np.float64)
         for flat in (False, True):
-            member = member_outputs(bank, queries, 7, tax, flat)
-            assert combine_members([member] * 3) == combine_members([member])
+            leaves, margins = (c[:, None] for c in member_outputs(bank, queries, 7, tax, flat))
+            assert combine_members(np.tile(leaves, 3), np.tile(margins, 3)) == \
+                combine_members(leaves, margins)
 
 
 class TestAblationGrid:
@@ -263,7 +281,8 @@ class TestSharedInference:
         assert predict_hierarchical(bank, q, 1, tax).y3 == ly
         assert classify_batch(bank, [q], 1, tax).flat_leaf[0] == ly
         for flat in (False, True):
-            assert combine_members([member_outputs(bank, q[None], 1, tax, flat)]) == [ly]
+            leaves, margins = member_outputs(bank, q[None], 1, tax, flat)
+            assert combine_members(leaves[:, None], margins[:, None]) == [ly]
 
     def test_margins_match_vote_margin(self, tax):
         """Both member modes' margins are the vote margin, (top count -
