@@ -3,6 +3,7 @@
 Programming-contract violations (bad argument shapes, k < 1, and the like)
 raise plain ValueError instead.
 """
+import numpy as np
 
 
 class HierknnError(Exception):
@@ -35,3 +36,10 @@ class TrainingError(HierknnError):
 
 class SynthError(HierknnError):
     """Synthetic dataset configuration that cannot be realized."""
+
+
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first of ``values``, in order, that is not finite."""
+    for name, v in values.items():
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")

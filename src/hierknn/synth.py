@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import FeatureBank, QuerySet, bank_build_arrays, block_rows, normalize_rows
-from .errors import SynthError
+from .errors import SynthError, require_finite
 from .taxonomy import Taxonomy
 
 # Long-tailed per-leaf counts for the packaged 13-leaf taxonomy, ordered by
@@ -79,10 +79,7 @@ class ShiftSpec:
     extra_noise: float = 0.0
 
     def __post_init__(self):
-        for name in ("rotation_angle", "bias", "extra_noise"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        require_finite(**vars(self))
         if self.extra_noise < 0:
             raise ValueError("extra_noise must be >= 0")
 

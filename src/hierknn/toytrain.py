@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import TrainingError, require_finite
 from .metrics import confusion, macro_f1
 
 DEFAULT_TAU_TEACHER = 0.04
@@ -90,10 +90,7 @@ class LossConfig:
     tau_student: float = DEFAULT_TAU_STUDENT
 
     def __post_init__(self):
-        for name in ("lambda_dino", "lambda_sup", "tau_teacher", "tau_student"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        require_finite(**vars(self))
         if self.lambda_dino < 0 or self.lambda_sup < 0:
             raise ValueError("loss weights must be >= 0")
         if self.lambda_dino == 0 and self.lambda_sup == 0:
@@ -264,8 +261,7 @@ def train_toy(train: Views, eval_views: Views, *, epochs: int, lr: float, cfg: L
         raise TrainingError("eval split must be nonempty and fully labeled")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if not np.isfinite(lr):
-        raise ValueError(f"lr must be finite, got {lr}")
+    require_finite(lr=lr)
 
     labels = train.labels[train.labels != -1]
     weights = np.ones(n_classes)
@@ -379,9 +375,7 @@ def make_toy_dataset(n_classes: int, dim: int, per_class: int, separation: float
     """
     if n_classes > dim:
         raise ValueError("need dim >= n_classes for orthogonal class means")
-    for name, v in (("separation", separation), ("view_sigma", view_sigma)):
-        if not np.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+    require_finite(separation=separation, view_sigma=view_sigma)
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, n_classes)))
     means = separation * basis.T  # (n_classes, dim)

@@ -63,6 +63,14 @@ def run_cli(args, cwd, stdin=None, stdout=subprocess.PIPE, entry=("-m", "hierknn
     )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "gate: an exact-output check that CI reruns on one BLAS thread and under "
+        "other CPU dispatch settings (select these with -m gate)",
+    )
+
+
 @pytest.fixture(scope="session")
 def tax():
     """The packaged 3-lineage / 13-leaf taxonomy, loaded once per session."""

@@ -45,6 +45,7 @@ from hierknn import (
 from conftest import bank_from_arrays, crossed_label_bank, run_cli, toy_views, unit_rows
 
 
+@pytest.mark.gate
 def test_criterion_1_retrieval_matches_brute_force_oracle(tax):
     """200 randomized retrievals reproduce the full-sort oracle exactly."""
     rng = np.random.default_rng(101)
@@ -245,6 +246,7 @@ def test_criterion_6_hierarchy_and_ensemble_trends(tax):
     assert elapsed < 120.0
 
 
+@pytest.mark.gate
 def test_criterion_7_bank_round_trip_bit_exact(tax):
     """100 fuzzed banks survive save/load with identical bytes."""
     rng = np.random.default_rng(707)
@@ -271,6 +273,7 @@ def test_criterion_7_bank_round_trip_bit_exact(tax):
         assert loaded.vectors.tobytes() == bank.vectors.tobytes()
 
 
+@pytest.mark.gate
 def test_criterion_8_commands_are_deterministic(tmp_path):
     """classify, ensemble, ablate, traintoy, and synth give byte-identical
     outputs across two fresh-process runs with identical seeds."""

@@ -305,6 +305,7 @@ class TestGradCheckCommand:
         assert set(worst) >= {"dino", "balanced_ce", "total"}
         assert all(v < 1e-4 for v in worst.values())
 
+    @pytest.mark.gate
     def test_two_runs_write_identical_bytes(self, tmp_path):
         """Two fresh-process runs with one seed print and write the same bytes,
         manifest included."""
@@ -719,6 +720,7 @@ class TestSizes:
         assert not (tmp_path / "out.manifest.json").exists()
 
 
+@pytest.mark.gate
 class TestPinnedOutputs:
     """The determinism fixture's outputs, byte for byte.
 

@@ -145,6 +145,7 @@ class TestCombine:
             for j in range(min(n, 3)):
                 assert vote_one(leaves[:, j], margins[:, j], policy) == want[j]
 
+    @pytest.mark.gate
     @pytest.mark.parametrize("policy", TIE_POLICIES)
     @pytest.mark.parametrize("n_members", [1, 2, 3])
     def test_every_small_member_vote(self, policy, n_members):
@@ -175,6 +176,7 @@ class TestCombine:
             with pytest.raises(ValueError, match=rf"leaves \({', '.join(map(str, leaf_shape))}"):
                 combine_members(rng.integers(0, 13, leaf_shape), rng.random(margin_shape))
 
+    @pytest.mark.gate
     @pytest.mark.parametrize("policy", TIE_POLICIES)
     def test_thousand_members_vote_in_bounded_memory(self, policy):
         """1,000 members over the stock 389 queries: the vote's peak stays far

@@ -261,6 +261,7 @@ def as_dict(counts_row) -> dict[int, int]:
 
 
 class TestClassifyBatch:
+    @pytest.mark.gate
     def test_matches_reference_walk(self, tax):
         """Batched votes equal the plain-Python walk on tie-heavy fuzzed banks."""
         rng = np.random.default_rng(3003)
@@ -392,6 +393,7 @@ w1 -> b1
 SMALL_SIMS = (0.5, 0.25, -0.25)
 
 
+@pytest.mark.gate
 class TestSmallScope:
     """Every small case of the walk against :func:`reference_vote_walk`.
 

@@ -27,6 +27,8 @@ from hierknn import (
 from hierknn.ensemble import TIE_POLICIES
 from conftest import SMALL_CONFIG
 
+pytestmark = pytest.mark.gate
+
 
 @pytest.fixture(scope="module", params=["fixture", "stock"])
 def case(request, tax):

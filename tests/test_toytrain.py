@@ -363,6 +363,7 @@ class TestToyDataset:
         with pytest.raises(ValueError, match="dim"):
             make_toy_dataset(5, 3, 10, 4.0, 0.5, 0)
 
+    @pytest.mark.gate
     @pytest.mark.parametrize("n_classes, dim, per_class, seed",
                              [(3, 8, 40, 0), (5, 12, 9, 3), (1, 3, 5, 7), (2, 2, 1, 1)])
     def test_columns_match_per_sample_draws(self, n_classes, dim, per_class, seed):
