@@ -34,7 +34,7 @@ import os
 import struct
 from collections import Counter
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -92,6 +92,14 @@ def normalize_rows(x, ids=None) -> np.ndarray:
     return out
 
 
+class _IdColumn(NamedTuple):
+    """Ids encoded as a bank file stores them; nothing checks that the n + 1 ``offsets``
+    run from 0 to the ``blob``'s end, never decrease and cut its UTF-8 at characters."""
+
+    blob: np.ndarray
+    offsets: np.ndarray
+
+
 class FeatureBank:
     """Ordered, immutable collection of unit-norm embeddings with labels.
 
@@ -102,39 +110,19 @@ class FeatureBank:
     ``label_max``, the largest index per level, and ``max_norm``, an upper
     bound on every row's norm (see :func:`_norm_bound`; inf if a row's f32
     sum of squares overflows, that is for norms from about 2^64, or is not
-    finite). ``ids`` decodes the blob into a tuple of str
-    on first use and keeps it. Entry order is insertion order.
-    The constructor encodes ``ids`` once and checks shapes and id uniqueness
-    but deliberately not per-entry label-path consistency, so corrupted or
-    adversarial banks can be represented and exercised; the bank builders
-    always derive consistent paths.
+    finite). ``ids`` decodes the blob into a tuple of str on first use and
+    keeps it. Entry order is insertion order. The constructor takes str ids,
+    encoded once, or an :class:`_IdColumn`, as :func:`bank_load` and
+    :func:`bank_merge` pass. Every bank gets the same checks: shapes, then
+    finite vectors (the first bad entry named; rows are scanned only where
+    ``max_norm`` is inf), then unique ids; but deliberately not per-entry
+    label-path consistency, so corrupted or adversarial banks can be
+    represented and exercised; the bank builders always derive consistent paths.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        ids: Iterable[str],
-        labels: np.ndarray,
-        vectors: np.ndarray,
-        taxonomy_digest: bytes,
-    ):
-        self._init(dim, *_encode_ids(tuple(ids)), labels, vectors, taxonomy_digest)
-
-    @classmethod
-    def _from_id_column(cls, dim, id_blob, id_offsets, labels, vectors, taxonomy_digest,
-                        finite=False) -> "FeatureBank":
-        """A bank whose ids come encoded, as a bank file stores them.
-
-        The offsets must run from 0 to the blob's end, never decrease and
-        cut valid UTF-8 at character boundaries; nothing checks that here.
-        ``finite`` also rejects a non-finite vector, naming its entry,
-        before the ids are checked for uniqueness.
-        """
-        bank = cls.__new__(cls)
-        bank._init(dim, id_blob, id_offsets, labels, vectors, taxonomy_digest, finite)
-        return bank
-
-    def _init(self, dim, id_blob, id_offsets, labels, vectors, taxonomy_digest, finite=False):
+    def __init__(self, dim: int, ids: Iterable[str] | _IdColumn, labels: np.ndarray,
+                 vectors: np.ndarray, taxonomy_digest: bytes):
+        id_blob, id_offsets = ids if isinstance(ids, _IdColumn) else _encode_ids(tuple(ids))
         self.dim = int(dim)
         self.id_blob = np.ascontiguousarray(id_blob, dtype=np.uint8).view()
         self.id_offsets = np.ascontiguousarray(id_offsets, dtype="<u8").view()
@@ -156,7 +144,7 @@ class FeatureBank:
         # a row's f32 sum of squares overflows or an entry is not finite
         sq_max = np.einsum("ij,ij->i", self.vectors, self.vectors).max(initial=0.0)
         self.max_norm = _norm_bound(float(sq_max), self.dim)
-        if finite and not math.isfinite(self.max_norm):
+        if not math.isfinite(self.max_norm):
             finite_rows = np.isfinite(self.vectors).all(axis=1)
             if not finite_rows.all():
                 i = int(np.argmin(finite_rows))
@@ -574,8 +562,7 @@ def bank_load(source: BinaryIO, tax: Taxonomy) -> FeatureBank:
             f"entry {rid!r}: level-{level + 1} label {labels[i, level]} out of range"
         )
     try:
-        return FeatureBank._from_id_column(dim, blob, offsets, labels, vectors, digest,
-                                           finite=True)
+        return FeatureBank(dim, _IdColumn(blob, offsets), labels, vectors, digest)
     except BankError as exc:
         raise BankFormatError(str(exc)) from None
 
@@ -688,10 +675,10 @@ def bank_merge(a: FeatureBank, b: FeatureBank) -> FeatureBank:
         raise BankError(f"dim mismatch ({a.dim} vs {b.dim})")
     if a.taxonomy_digest != b.taxonomy_digest:
         raise BankError("taxonomy mismatch (digest differs)")
-    return FeatureBank._from_id_column(
+    return FeatureBank(
         a.dim,
-        np.concatenate([a.id_blob, b.id_blob]),
-        np.concatenate([a.id_offsets, b.id_offsets[1:] + len(a.id_blob)]),
+        _IdColumn(np.concatenate([a.id_blob, b.id_blob]),
+                  np.concatenate([a.id_offsets, b.id_offsets[1:] + len(a.id_blob)])),
         np.vstack([a.labels, b.labels]),
         np.vstack([a.vectors, b.vectors]),
         a.taxonomy_digest,

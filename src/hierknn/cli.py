@@ -104,8 +104,12 @@ class _Files:
     @contextlib.contextmanager
     def open(self, path, mode="r"):
         """``open(path, mode)``, UTF-8 in text mode; text that does not decode names the file,
-        and so does an ``OSError`` while writing."""
+        and so does an ``OSError`` while writing. A path opened for writing that resolves
+        to an output already opened is refused before anything is written to it."""
         if "w" in mode:
+            real = os.path.realpath(path)
+            if any(os.path.realpath(out) == real for out in self.outputs):
+                raise HierknnError(f"{path}: output path given twice")
             self.outputs.append(path)
             try:
                 with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:

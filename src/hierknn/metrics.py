@@ -61,7 +61,7 @@ def score_predictions(truth, preds, n_classes: int):
         {"index": c, "precision": p, "recall": r, "f1": f, "support": n}
         for c, (p, r, f, n) in enumerate(zip(precision, recall, f1, support))
     ]
-    mf1 = sum(f1) / n_classes
+    mf1 = macro_f1(grid)
     report = {
         "convention": F1_CONVENTION,
         "n_samples": len(truth),

@@ -54,6 +54,13 @@ def with_columns(bank: FeatureBank, labels=None, vectors=None) -> FeatureBank:
                        bank.vectors if vectors is None else vectors, bank.taxonomy_digest)
 
 
+def with_entry(data: bytes, n: int, dim: int, i: int, j: int, value: float) -> bytes:
+    """Saved bank bytes with vector entry (i, j) set to ``value``: the vector
+    block is the file's last 4 n dim bytes."""
+    at = len(data) - 4 * n * dim + 4 * (i * dim + j)
+    return data[:at] + struct.pack("<f", value) + data[at + 4:]
+
+
 def roundtrip(bank: FeatureBank, tax) -> FeatureBank:
     buf = io.BytesIO()
     bank_save(bank, buf)
@@ -330,13 +337,23 @@ class TestNormBound:
         unit rows and beside rows whose f32 squares overflow."""
         rng = np.random.default_rng(9)
         vectors = (rng.uniform(0.5, 2.0, (4, 16)) * scale).astype(np.float32)
-        vectors[2, 5] = bad
         bank = bank_from_arrays(tax, vectors, [0, 1, 2, 3], ids=["a", "b", "c", "d"])
-        assert math.isinf(bank.max_norm)
         buf = io.BytesIO()
         bank_save(bank, buf)
+        data = with_entry(buf.getvalue(), 4, 16, 2, 5, bad)
         with pytest.raises(BankFormatError, match="^entry 'c': non-finite vector$"):
-            bank_load(io.BytesIO(buf.getvalue()), tax)
+            bank_load(io.BytesIO(data), tax)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e19])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_names_non_finite_entry(self, tax, bad, scale):
+        """The constructor rejects a NaN or inf entry as the load does, so no
+        such bank reaches ``classify_batch``, ``bank_save`` or ``bank_merge``."""
+        rng = np.random.default_rng(9)
+        vectors = (rng.uniform(0.5, 2.0, (4, 16)) * scale).astype(np.float32)
+        vectors[2, 5] = bad
+        with pytest.raises(BankError, match="^entry 'c': non-finite vector$"):
+            bank_from_arrays(tax, vectors, [0, 1, 2, 3], ids=["a", "b", "c", "d"])
 
 
 class TestQuerySet:
@@ -855,13 +872,10 @@ class TestLoadRejectsBadInputV2:
             bank_load(io.BytesIO(bytes(header)), tax)
 
     def test_nan_vector_named(self, tax):
-        bank, _ = self.saved(tax)
-        vectors = bank.vectors.copy()
-        vectors[1, 2] = np.nan
-        buf = io.BytesIO()
-        bank_save(with_columns(bank, vectors=vectors), buf)
+        bank, data = self.saved(tax)
+        data = with_entry(data, len(bank), bank.dim, 1, 2, np.nan)
         with pytest.raises(BankFormatError, match="'bé': non-finite"):
-            bank_load(io.BytesIO(buf.getvalue()), tax)
+            bank_load(io.BytesIO(data), tax)
 
     def test_unseekable_stream_still_loads(self, tax):
         bank, data = self.saved(tax)
@@ -965,11 +979,7 @@ class TestIdColumn:
 
     def test_non_finite_vector_named_before_duplicate_id(self, tax):
         bank, data = TestLoadRejectsBadInputV2.saved(tax, ids=("ab", "cd", "ef"))
-        vectors = bank.vectors.copy()
-        vectors[2, 0] = np.inf
-        buf = io.BytesIO()
-        bank_save(with_columns(bank, vectors=vectors), buf)
-        dup = buf.getvalue().replace(b"abcd", b"abab", 1)
+        dup = with_entry(data, len(bank), bank.dim, 2, 0, np.inf).replace(b"abcd", b"abab", 1)
         with pytest.raises(BankFormatError, match="^entry 'ef': non-finite vector$"):
             bank_load(io.BytesIO(dup), tax)
         with pytest.raises(BankFormatError, match="^duplicate id 'ab'$"):

@@ -691,6 +691,25 @@ class TestFailedWrite:
         assert proc.stderr == (
             f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: 'pred.jsonl'\n")
 
+    def test_output_path_given_twice_is_refused(self, tmp_path, tax):
+        """A second output that resolves to the first exits 2 naming it, writes
+        nothing to it and no run manifest: the first output is left whole."""
+        (tmp_path / "synth.cfg").write_text(SMALL_CONFIG, encoding="utf-8")
+        proc = run(["synth", "--config", "synth.cfg", "--out", "y.hbnk",
+                    "--queries", "./y.hbnk"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (2, "error: ./y.hbnk: output path given twice\n")
+        with open(tmp_path / "y.hbnk", "rb") as fh:
+            assert len(bank_load(fh, tax)) > 0
+        make_synth(tmp_path)
+        assert run(["classify", "--bank", "bank.hbnk", "--queries", "q.jsonl",
+                    "--out", "p.jsonl"], tmp_path).returncode == 0
+        proc = run(["evaluate", "--preds", "p.jsonl", "--truth", "q.jsonl",
+                    "--report", "r.out", "--cm", "./r.out"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (2, "error: ./r.out: output path given twice\n")
+        assert "macro_f1" in json.loads((tmp_path / "r.out").read_text())
+        for first in ("y.hbnk", "r.out"):
+            assert not (tmp_path / f"{first}.manifest.json").exists()
+
 
 class TestSizes:
     """A size a user can type is refused before it is allocated, or its failed

@@ -3,10 +3,11 @@
 The oracle tests check `search` against a brute-force scan and the votes
 against reference walks, each on given inputs. These relations compare runs
 with each other instead, so they catch a result that depends on a query's
-scale, on its place in the block, or on where the block is cut (Chen, Cheung
-and Yiu, HKUST-CS98-01, 1998; Xie et al., JSS 84(4), 2011). They run on the
-determinism fixture and on the stock bank, with its queries under moderate
-drift.
+scale, on its place in the block, on where the block is cut, on where an
+entry sits in the bank, or on which rows a restricted search scans (Chen,
+Cheung and Yiu, HKUST-CS98-01, 1998; Xie et al., JSS 84(4), 2011). They run
+on the determinism fixture and on the stock bank, with its queries under
+moderate drift.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 
 from hierknn import (
     MODERATE_SHIFT,
+    FeatureBank,
     SynthConfig,
     apply_shift,
     classify_batch,
@@ -47,6 +49,14 @@ def assert_same_prediction(a, b):
             assert all(np.array_equal(u, v) for u, v in zip(x, y)), name
         else:
             assert np.array_equal(x, y), name
+
+
+def rows_bank(bank, rows):
+    """The bank of exactly the entries ``rows``, in that order: ids, labels and
+    vector bits, built through the constructor."""
+    ids = bank.ids
+    return FeatureBank(bank.dim, [ids[i] for i in rows], bank.labels[rows],
+                       bank.vectors[rows], bank.taxonomy_digest)
 
 
 def member_columns(bank, Q, tax):
@@ -96,3 +106,36 @@ def test_block_cut(case, chunk):
     parts = [search(bank, Q[lo:lo + chunk], k) for lo in range(0, len(Q), chunk)]
     assert np.array_equal(np.concatenate([p[0] for p in parts]), indices)
     assert np.array_equal(np.concatenate([p[1] for p in parts]), sims)
+
+
+def test_bank_permutation(case, tax):
+    """Permuting the bank's entries keeps, for each query with no tie among
+    its k + 1 nearest, the similarities and the indices mapped through the
+    permutation, and every prediction."""
+    bank, Q, k = case
+    perm = np.random.default_rng(43).permutation(len(bank))
+    permuted = rows_bank(bank, perm)
+    sims = search(bank, Q, k + 1)[1]
+    untied = np.flatnonzero((sims[:, 1:] < sims[:, :-1]).all(axis=1))
+    assert len(untied) >= 0.9 * len(Q)
+    indices, sims = search(bank, Q[untied], k)
+    permuted_indices, permuted_sims = search(permuted, Q[untied], k)
+    assert np.array_equal(perm[permuted_indices], indices)
+    assert np.array_equal(permuted_sims, sims)
+    assert_same_prediction(classify_batch(permuted, Q[untied], k, tax),
+                           classify_batch(bank, Q[untied], k, tax))
+
+
+def test_restricted_rows(case):
+    """``search`` restricted to ``rows`` equals a search of the bank of exactly
+    those rows, its indices mapped back: one lineage's entries, a random
+    half, and a single row."""
+    bank, Q, k = case
+    rng = np.random.default_rng(47)
+    for rows in (np.flatnonzero(bank.labels[:, 0] == 1),
+                 np.sort(rng.choice(len(bank), len(bank) // 2, replace=False)),
+                 np.array([int(rng.integers(len(bank)))])):
+        indices, sims = search(bank, Q, k, rows)
+        sub_indices, sub_sims = search(rows_bank(bank, rows), Q, k)
+        assert np.array_equal(indices, rows[sub_indices])
+        assert np.array_equal(sims, sub_sims)
